@@ -100,7 +100,7 @@ pub use ps::PowerSave;
 pub use report::RunReport;
 pub use runtime::{ScheduledCommand, Session, SessionBuilder, SessionStatus, SimulationConfig};
 pub use session::{run_session, SessionReport};
-pub use slo_save::{SloSave, SloSaveConfig};
+pub use slo_save::{SloSave, SloSaveConfig, SloWindow};
 pub use spec::{GovernorSpec, RegistryEntry, SpecModels, REGISTRY};
 pub use thermal_guard::{ThermalGuard, ThermalGuardConfig};
 pub use throttle_save::ThrottleSave;

@@ -13,7 +13,7 @@
 //!    the serve queue (no PMC events at all — the queue *is* the
 //!    application-level telemetry, one layer above the paper's counters);
 //! 2. **estimates** the current tail as the windowed p99 of completed
-//!    sojourns ([`MovingWindow::percentile`]);
+//!    sojourns ([`SloWindow`]; an O(1) read of a [`MovingWindow`]);
 //! 3. **controls** with hysteresis: a violated SLO steps one p-state
 //!    toward the peak immediately; stepping *down* requires a settle
 //!    window of consecutive intervals comfortably inside the SLO
@@ -24,12 +24,12 @@
 //!
 //! Degradation is fail-safe in the same direction as PS: missing queue
 //! telemetry (a batch run, or a faulted sample path) holds the current
-//! state for a bounded window and then steps toward the peak, and a
-//! NaN-poisoned p99 takes the violating branch. Running too fast never
-//! breaches the latency contract; running too slow does.
+//! state for a bounded window and then steps toward the peak, and a p99
+//! poisoned by a NaN of either sign takes the violating branch. Running
+//! too fast never breaches the latency contract; running too slow does.
 //!
 //! [`QueueSample`]: aapm_platform::requests::QueueSample
-//! [`MovingWindow::percentile`]: aapm_telemetry::window::MovingWindow::percentile
+//! [`MovingWindow`]: aapm_telemetry::window::MovingWindow
 
 use aapm_platform::events::HardwareEvent;
 use aapm_platform::pstate::PStateId;
@@ -71,6 +71,44 @@ impl Default for SloSaveConfig {
     }
 }
 
+/// The windowed-p99 SLO law [`SloSave`] steers by and the serve experiment
+/// scores arms with: a sojourn window, its p99, and the time over the SLO.
+#[derive(Debug, Clone)]
+pub struct SloWindow {
+    slo: Seconds,
+    sojourns: MovingWindow,
+    violation_seconds: f64,
+}
+
+impl SloWindow {
+    /// An empty meter over the last `window_sojourns` (> 0) completions.
+    pub fn new(slo: Seconds, window_sojourns: usize) -> Self {
+        SloWindow { slo, sojourns: MovingWindow::new(window_sojourns), violation_seconds: 0.0 }
+    }
+
+    /// Records one interval's sojourns; returns the windowed p99 and
+    /// whether it violates the SLO (then counted as violation time).
+    /// `None` without queue telemetry or before the first completion.
+    pub fn record(&mut self, ctx: &SampleContext<'_>) -> Option<(f64, bool)> {
+        for &sojourn in &ctx.queue?.sojourns {
+            self.sojourns.push(sojourn);
+        }
+        let p99 = self.sojourns.percentile(99.0)?;
+        // `!(p99 <= slo)`, not `p99 > slo`: a NaN tail is a violation.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let violated = !(p99 <= self.slo.seconds());
+        if violated {
+            self.violation_seconds += (ctx.counters.end - ctx.counters.start).seconds().max(0.0);
+        }
+        Some((p99, violated))
+    }
+
+    /// Simulated minutes the windowed p99 spent over the SLO.
+    pub fn violation_minutes(&self) -> f64 {
+        self.violation_seconds / 60.0
+    }
+}
+
 /// The SloSave governor.
 ///
 /// # Examples
@@ -85,16 +123,12 @@ impl Default for SloSaveConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SloSave {
-    slo: Seconds,
     config: SloSaveConfig,
-    /// Moving window of completed-request sojourn times (seconds).
-    sojourns: MovingWindow,
+    meter: SloWindow,
     /// Consecutive comfortable intervals toward the settle threshold.
     good_streak: usize,
     /// Consecutive intervals without queue telemetry.
     stale_streak: usize,
-    /// Total simulated time spent with the windowed p99 over the SLO.
-    violation_seconds: f64,
     /// Observability handle (disabled unless the runtime installs one).
     metrics: Metrics,
 }
@@ -140,19 +174,17 @@ impl SloSave {
             ));
         }
         Ok(SloSave {
-            slo,
-            sojourns: MovingWindow::new(config.window_sojourns),
+            meter: SloWindow::new(slo, config.window_sojourns),
             config,
             good_streak: 0,
             stale_streak: 0,
-            violation_seconds: 0.0,
             metrics: Metrics::disabled(),
         })
     }
 
     /// The active sojourn-time SLO.
     pub fn slo(&self) -> Seconds {
-        self.slo
+        self.meter.slo
     }
 
     /// The control-loop tunables in use.
@@ -164,13 +196,7 @@ impl SloSave {
     /// the serve experiment's equal-violation comparison axis. Mirrored as
     /// the `slo.violation_minutes` gauge when metrics are installed.
     pub fn violation_minutes(&self) -> f64 {
-        self.violation_seconds / 60.0
-    }
-
-    /// The current windowed p99 sojourn estimate, `None` before any
-    /// completion has been observed.
-    pub fn p99(&self) -> Option<f64> {
-        self.sojourns.percentile(99.0)
+        self.meter.violation_minutes()
     }
 
     fn step_up(&self, ctx: &SampleContext<'_>) -> PStateId {
@@ -191,7 +217,6 @@ impl Governor for SloSave {
 
     fn decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
         let now = ctx.counters.end;
-        let interval = (ctx.counters.end - ctx.counters.start).seconds().max(0.0);
 
         // No queue telemetry this interval (batch run, or the sample path
         // faulted): hold a bounded window, then fail toward the peak —
@@ -223,10 +248,7 @@ impl Governor for SloSave {
             self.stale_streak = 0;
         }
 
-        for &sojourn in &sample.sojourns {
-            self.sojourns.push(sojourn);
-        }
-        let Some(p99) = self.sojourns.percentile(99.0) else {
+        let Some((p99, violated)) = self.meter.record(ctx) else {
             // No completion observed yet. With work queued, run faster
             // until evidence arrives (a cold start at a low state must not
             // trap itself behind its own backlog); an idle queue can wait.
@@ -234,11 +256,7 @@ impl Governor for SloSave {
         };
         self.metrics.observe("slo.p99_s", p99);
 
-        // `!(p99 <= slo)` rather than `p99 > slo`: a NaN-poisoned tail
-        // must take the violating branch.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(p99 <= self.slo.seconds()) {
-            self.violation_seconds += interval;
+        if violated {
             self.metrics.gauge("slo.violation_minutes", self.violation_minutes());
             self.good_streak = 0;
             self.metrics.inc("slo_save.steps_up");
@@ -247,7 +265,7 @@ impl Governor for SloSave {
 
         // Inside the SLO: probe downward only after a full settle window
         // of comfortable intervals, one state at a time.
-        if p99 <= self.config.step_down_margin * self.slo.seconds() {
+        if p99 <= self.config.step_down_margin * self.meter.slo.seconds() {
             self.good_streak += 1;
             if self.good_streak >= self.config.settle_intervals {
                 self.good_streak = 0;
@@ -405,14 +423,17 @@ mod tests {
     #[test]
     fn nan_poisoned_tail_takes_the_violating_branch() {
         let table = PStateTable::pentium_m_755();
-        let mut slo = slo_50ms();
         let current = PStateId::new(3);
-        let sample = queue_sample(1, &[0.001, f64::NAN]);
-        // The p99 over a window containing NaN is NaN; the comparison is
-        // written so that counts as a violation, not a free pass.
-        let chosen = decide(&mut slo, &table, current, Some(&sample));
-        assert_eq!(chosen, table.next_higher(current).unwrap());
-        assert!(slo.violation_minutes() > 0.0);
+        // `f64::NAN`, and the negative NaN `0.0 / 0.0` yields on x86-64:
+        // either makes the p99 NaN, which must count as a violation.
+        for nan in [f64::NAN, f64::from_bits(0xfff8_0000_0000_0000)] {
+            let mut slo = slo_50ms();
+            let sample = queue_sample(1, &[0.001, nan]);
+            let chosen = decide(&mut slo, &table, current, Some(&sample));
+            assert_eq!(chosen, table.next_higher(current).unwrap());
+            assert!(slo.violation_minutes() > 0.0);
+            assert!(slo.meter.sojourns.percentile(100.0).unwrap().is_nan());
+        }
     }
 
     #[test]

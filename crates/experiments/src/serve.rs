@@ -35,7 +35,7 @@ use aapm::cluster::{BudgetTree, ClusterGovernor, FleetPmController, NodeSpec, Ra
 use aapm::governor::{Governor, GovernorCommand, SampleContext};
 use aapm::limits::PowerLimit;
 use aapm::runtime::{Session, SimulationConfig};
-use aapm::slo_save::{SloSave, SloSaveConfig};
+use aapm::slo_save::{SloSave, SloSaveConfig, SloWindow};
 use aapm_platform::config::MachineConfig;
 use aapm_platform::error::Result;
 use aapm_platform::events::HardwareEvent;
@@ -49,7 +49,6 @@ use aapm_platform::units::Seconds;
 use aapm_platform::workload::WorkloadSource;
 use aapm_platform::Machine;
 use aapm_telemetry::metrics::Metrics;
-use aapm_telemetry::window::MovingWindow;
 use aapm_workloads::requests::RequestWorkload;
 
 use crate::context::ExperimentContext;
@@ -100,32 +99,24 @@ fn day_workload(seed: u64) -> Result<RequestWorkload> {
     b.build()
 }
 
-/// An arm-independent violation meter: the same windowed-p99 law as
-/// [`SloSave`], wrapped around whichever governor an arm runs, so every
-/// arm's violation minutes are scored by identical telemetry. Recording
-/// never perturbs the inner decision (the decorator contract of
-/// DESIGN.md §9).
+/// An arm-independent violation meter: the [`SloWindow`] that [`SloSave`]
+/// steers by, wrapped around whichever governor an arm runs, so every arm's
+/// violation minutes are scored by identical telemetry. Recording never
+/// perturbs the inner decision (the decorator contract of DESIGN.md §9).
 pub struct SloMeter {
     inner: Box<dyn Governor>,
-    slo_s: f64,
-    sojourns: MovingWindow,
-    violation_seconds: f64,
+    slo: SloWindow,
 }
 
 impl SloMeter {
-    /// Wraps `inner`, scoring against `slo`.
+    /// Wraps `inner`, scoring against `slo` over SloSave's default window.
     pub fn new(inner: Box<dyn Governor>, slo: Seconds) -> Self {
-        SloMeter {
-            inner,
-            slo_s: slo.seconds(),
-            sojourns: MovingWindow::new(256),
-            violation_seconds: 0.0,
-        }
+        SloMeter { inner, slo: SloWindow::new(slo, SloSaveConfig::default().window_sojourns) }
     }
 
     /// Simulated minutes the windowed p99 spent over the SLO.
     pub fn violation_minutes(&self) -> f64 {
-        self.violation_seconds / 60.0
+        self.slo.violation_minutes()
     }
 }
 
@@ -139,20 +130,7 @@ impl Governor for SloMeter {
     }
 
     fn decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
-        if let Some(sample) = ctx.queue {
-            for &sojourn in &sample.sojourns {
-                self.sojourns.push(sojourn);
-            }
-            if let Some(p99) = self.sojourns.percentile(99.0) {
-                // `!(p99 <= slo)` so a NaN-poisoned tail counts against
-                // the arm, mirroring SloSave's own violating branch.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(p99 <= self.slo_s) {
-                    self.violation_seconds +=
-                        (ctx.counters.end - ctx.counters.start).seconds().max(0.0);
-                }
-            }
-        }
+        self.slo.record(ctx);
         self.inner.decide(ctx)
     }
 

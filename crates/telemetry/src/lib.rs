@@ -13,8 +13,10 @@
 //! * [`gpio`] — run-boundary markers;
 //! * [`trace`] — power/p-state time series, moving-average violation
 //!   metrics, energy summation (the paper's energy metric);
-//! * [`window`] — moving windows (PM's 100 ms enforcement window);
-//! * [`stats`] — summaries, medians (the paper's three-run median);
+//! * [`window`] — moving windows with O(1) percentiles (the SLO
+//!   governors' windowed p99);
+//! * [`stats`] — summaries, medians (the paper's three-run median),
+//!   percentiles, and the NaN-last order they all sort by;
 //! * [`faults`] — seeded fault injection for the whole chain (sample
 //!   dropouts, stuck readings, missed counter reads, ignored/stalled
 //!   actuator writes);

@@ -1,5 +1,7 @@
 //! Small statistics helpers used across experiments.
 
+use std::cmp::Ordering;
+
 /// Summary statistics of a sample set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -37,7 +39,7 @@ pub fn summarize(values: &[f64]) -> Option<Summary> {
 /// `None` for an empty slice. Used for the paper's "three runs, report the
 /// median" methodology.
 ///
-/// NaNs sort after `+inf` (IEEE 754 total order), so they never panic and
+/// NaNs sort after `+inf` ([`nan_last_cmp`]), so they never panic and
 /// only reach the result when they crowd past the midpoint — a NaN result
 /// is an honest "your samples were NaN", not a crash.
 pub fn median(values: &[f64]) -> Option<f64> {
@@ -45,7 +47,7 @@ pub fn median(values: &[f64]) -> Option<f64> {
         return None;
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
+    sorted.sort_by(nan_last_cmp);
     let mid = sorted.len() / 2;
     Some(if sorted.len() % 2 == 1 { sorted[mid] } else { (sorted[mid - 1] + sorted[mid]) / 2.0 })
 }
@@ -56,24 +58,49 @@ pub fn median(values: &[f64]) -> Option<f64> {
 /// a poisoned rank must degrade like missing telemetry does everywhere
 /// else in the stack, not panic the control loop.
 ///
-/// NaNs in `values` sort after `+inf` (IEEE 754 total order) instead of
-/// panicking. The interpolation rank is clamped to the slice, and exact
-/// ranks (p = 0, p = 100, single element) return the element directly
-/// rather than interpolating — `inf * 0.0` would manufacture a NaN.
+/// NaNs in `values` sort after `+inf` ([`nan_last_cmp`]) instead of
+/// panicking. See [`percentile_of_sorted`] for the interpolation.
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
-    if !(0.0..=100.0).contains(&p) {
-        return None;
-    }
-    if values.is_empty() {
-        return None;
-    }
     let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).clamp(0.0, (sorted.len() - 1) as f64);
+    sorted.sort_by(nan_last_cmp);
+    percentile_of_sorted(&sorted, p)
+}
+
+/// [`percentile`] of a slice already sorted by [`nan_last_cmp`]: reads the
+/// rank directly, without copying or sorting. `None` for an empty slice or
+/// an out-of-range `p`.
+///
+/// The interpolation rank is clamped to the slice, and exact ranks (p = 0,
+/// p = 100, single element) return the element directly rather than
+/// interpolating — `inf * 0.0` would manufacture a NaN.
+pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> Option<f64> {
+    if !(0.0..=100.0).contains(&p) || sorted.is_empty() {
+        return None;
+    }
+    let last = sorted.len() - 1;
+    let rank = (p / 100.0 * last as f64).clamp(0.0, last as f64);
     let lo = rank.floor() as usize;
-    let hi = (rank.ceil() as usize).min(sorted.len() - 1);
+    let hi = (rank.ceil() as usize).min(last);
     let frac = rank - lo as f64;
     Some(if frac == 0.0 { sorted[lo] } else { sorted[lo] * (1.0 - frac) + sorted[hi] * frac })
+}
+
+/// The order every statistic here sorts by: IEEE 754 total order
+/// ([`f64::total_cmp`]), except that every NaN — of either sign — sorts
+/// after `+inf`, and NaNs compare equal to each other.
+///
+/// `total_cmp` alone puts a negative NaN below `-inf`, and the NaN an
+/// x86-64 FPU makes at run time (`0.0 / 0.0`, `inf - inf`) has its sign bit
+/// set. Sorting NaN last keeps the fail-safe of the tail statistics
+/// uniform: a NaN-poisoned sample inflates the upper order statistics
+/// (an SLO reads "violated") whichever sign it carries.
+pub fn nan_last_cmp(a: &f64, b: &f64) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => a.total_cmp(b),
+        (false, true) => Ordering::Less,
+        (true, false) => Ordering::Greater,
+        (true, true) => Ordering::Equal,
+    }
 }
 
 #[cfg(test)]
@@ -130,6 +157,20 @@ mod tests {
         assert_eq!(percentile(&w, 100.0), Some(f64::INFINITY));
         assert_eq!(percentile(&w, 50.0), Some(0.0));
         assert_eq!(median(&[f64::NAN]).map(f64::is_nan), Some(true));
+    }
+
+    #[test]
+    fn negative_nan_sorts_after_infinity() {
+        // The NaN `0.0 / 0.0` yields on x86-64 carries the sign bit;
+        // `total_cmp` alone would sort it below -inf.
+        let negative_nan = f64::from_bits(0xfff8_0000_0000_0000);
+        assert_eq!(nan_last_cmp(&negative_nan, &f64::INFINITY), Ordering::Greater);
+        assert_eq!(nan_last_cmp(&f64::NEG_INFINITY, &negative_nan), Ordering::Less);
+        assert_eq!(nan_last_cmp(&negative_nan, &f64::NAN), Ordering::Equal);
+        let v = [1.0, negative_nan, 2.0, f64::NEG_INFINITY];
+        assert_eq!(percentile(&v, 0.0), Some(f64::NEG_INFINITY));
+        assert!(percentile(&v, 100.0).unwrap().is_nan());
+        assert_eq!(median(&v), Some(1.5));
     }
 
     #[test]

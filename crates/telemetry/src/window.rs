@@ -1,11 +1,33 @@
-//! Fixed-capacity moving windows over samples.
+//! Fixed-capacity moving windows over samples, with order statistics.
 //!
-//! PM enforces its power limit over a moving window of ten 10 ms samples
-//! (100 ms); this module provides the window arithmetic.
+//! SLO governors read the tail of the most recent completions every control
+//! interval: `window.percentile(99.0)` over a window of sojourn times is the
+//! moving p99. [`MovingWindow`] keeps the values sorted as they arrive, so
+//! that read is a rank lookup rather than a sort.
 
 use std::collections::VecDeque;
 
-/// A moving window over the most recent `capacity` values.
+use crate::stats::{nan_last_cmp, percentile_of_sorted};
+
+/// A moving window over the most recent `capacity` values, with
+/// percentiles read in O(1).
+///
+/// Beside the FIFO ring of values the window keeps a sorted mirror of the
+/// same values, both allocated at full capacity up front:
+///
+/// * [`push`](Self::push) costs two binary searches (O(log n)) and one
+///   `memmove` of the mirror entries between the evicted value's rank and
+///   the new value's rank (at most `capacity` values; 2 KB for the SLO
+///   governors' 256). It never allocates.
+/// * [`percentile`](Self::percentile) interpolates directly on the mirror
+///   ([`percentile_of_sorted`]): no allocation, no sort.
+///
+/// **Invariant:** after every `push` and `clear` the mirror is, bit for
+/// bit, the *stable* sort of [`iter`](Self::iter) under [`nan_last_cmp`].
+/// A new value is inserted after every value that compares equal to it and
+/// the evicted (oldest) value is removed from before every value equal to
+/// it, so equal keys stay in arrival order. Hence `window.percentile(p)`
+/// equals [`crate::stats::percentile`] over `window.iter()` in every bit.
 ///
 /// # Examples
 ///
@@ -13,15 +35,20 @@ use std::collections::VecDeque;
 /// use aapm_telemetry::window::MovingWindow;
 ///
 /// let mut w = MovingWindow::new(3);
-/// w.push(1.0);
-/// w.push(2.0);
-/// w.push(3.0);
-/// w.push(4.0); // evicts 1.0
-/// assert_eq!(w.mean(), Some(3.0));
+/// w.push(30.0);
+/// w.push(10.0);
+/// w.push(20.0);
+/// w.push(40.0); // evicts 30.0
+/// assert_eq!(w.percentile(0.0), Some(10.0));
+/// assert_eq!(w.percentile(50.0), Some(20.0));
+/// assert_eq!(w.percentile(100.0), Some(40.0));
+/// assert_eq!(w.percentile(75.0), Some(30.0)); // interpolated
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MovingWindow {
     values: VecDeque<f64>,
+    /// `values` stably sorted by [`nan_last_cmp`].
+    sorted: Vec<f64>,
     capacity: usize,
 }
 
@@ -33,15 +60,37 @@ impl MovingWindow {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
-        MovingWindow { values: VecDeque::with_capacity(capacity), capacity }
+        MovingWindow {
+            values: VecDeque::with_capacity(capacity),
+            sorted: Vec::with_capacity(capacity),
+            capacity,
+        }
     }
 
-    /// Appends a value, evicting the oldest if full.
+    /// Appends a value, evicting the oldest if full. O(log n) search plus
+    /// one `memmove` of at most `capacity` values; never allocates.
     pub fn push(&mut self, value: f64) {
-        if self.values.len() == self.capacity {
-            self.values.pop_front();
+        // Upper bound: after every held value that compares equal.
+        let insert = self.sorted.partition_point(|v| nan_last_cmp(v, &value).is_le());
+        if self.values.len() < self.capacity {
+            self.values.push_back(value);
+            self.sorted.insert(insert, value);
+            return;
         }
+        let evicted = self.values.pop_front().expect("a full window is non-empty");
         self.values.push_back(value);
+        // Lower bound: the oldest value precedes every equal value.
+        let evict = self.sorted.partition_point(|v| nan_last_cmp(v, &evicted).is_lt());
+        debug_assert_eq!(self.sorted[evict].to_bits(), evicted.to_bits());
+        // Remove `evict` and insert at `insert` with one shift of the
+        // entries between them.
+        if insert > evict {
+            self.sorted.copy_within(evict + 1..insert, evict);
+            self.sorted[insert - 1] = value;
+        } else {
+            self.sorted.copy_within(insert..evict, insert + 1);
+            self.sorted[insert] = value;
+        }
     }
 
     /// Number of values currently held.
@@ -64,47 +113,20 @@ impl MovingWindow {
         self.capacity
     }
 
-    /// Mean of the held values, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-        }
-    }
-
-    /// Largest held value, `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.values.iter().cloned().fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// Smallest held value, `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        self.values.iter().cloned().fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.min(v))))
-    }
-
     /// Linear-interpolation percentile of the held values (`p` in
-    /// `[0, 100]`); `None` when the window is empty or `p` is out of range
-    /// (see [`crate::stats::percentile`]). This is the tail-latency probe
-    /// for SLO governors: `window.percentile(99.0)` over a window of
-    /// sojourn times is the moving p99. NaNs among the held values sort
-    /// after `+inf`, so a few poisoned samples inflate the tail (fail-safe
-    /// toward "SLO violated") rather than panicking.
+    /// `[0, 100]`); `None` when the window is empty or `p` is out of range.
+    /// Bit-identical to [`crate::stats::percentile`] over the held values,
+    /// read in O(1) from the sorted mirror. NaNs of either sign sort after
+    /// `+inf`, so a few poisoned samples inflate the tail (fail-safe toward
+    /// "SLO violated") rather than panicking.
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        let values: Vec<f64> = self.values.iter().copied().collect();
-        crate::stats::percentile(&values, p)
-    }
-
-    /// Whether every held value satisfies `predicate`. `false` when the
-    /// window is not yet full (PM requires a *full* window of good samples
-    /// before raising frequency).
-    pub fn full_and_all(&self, mut predicate: impl FnMut(f64) -> bool) -> bool {
-        self.is_full() && self.values.iter().all(|&v| predicate(v))
+        percentile_of_sorted(&self.sorted, p)
     }
 
     /// Clears the window.
     pub fn clear(&mut self) {
         self.values.clear();
+        self.sorted.clear();
     }
 
     /// Iterates over held values, oldest first.
@@ -116,6 +138,21 @@ impl MovingWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::percentile;
+
+    /// A NaN with its sign bit set, as `0.0 / 0.0` yields on x86-64.
+    const NEGATIVE_NAN: u64 = 0xfff8_0000_0000_0000;
+
+    fn assert_matches_stats(w: &MovingWindow) {
+        let held: Vec<f64> = w.iter().collect();
+        for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
+            assert_eq!(
+                w.percentile(p).map(f64::to_bits),
+                percentile(&held, p).map(f64::to_bits),
+                "p{p} over {held:?}"
+            );
+        }
+    }
 
     #[test]
     fn eviction_keeps_most_recent() {
@@ -124,38 +161,7 @@ mod tests {
         w.push(2.0);
         w.push(3.0);
         assert_eq!(w.iter().collect::<Vec<_>>(), vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn empty_window_has_no_statistics() {
-        let w = MovingWindow::new(4);
-        assert!(w.is_empty());
-        assert_eq!(w.mean(), None);
-        assert_eq!(w.max(), None);
-        assert_eq!(w.min(), None);
-    }
-
-    #[test]
-    fn statistics_over_partial_window() {
-        let mut w = MovingWindow::new(10);
-        w.push(2.0);
-        w.push(4.0);
-        assert_eq!(w.mean(), Some(3.0));
-        assert_eq!(w.max(), Some(4.0));
-        assert_eq!(w.min(), Some(2.0));
-        assert!(!w.is_full());
-    }
-
-    #[test]
-    fn full_and_all_requires_full_window() {
-        let mut w = MovingWindow::new(3);
-        w.push(1.0);
-        w.push(1.0);
-        assert!(!w.full_and_all(|v| v < 2.0), "not full yet");
-        w.push(1.0);
-        assert!(w.full_and_all(|v| v < 2.0));
-        w.push(5.0);
-        assert!(!w.full_and_all(|v| v < 2.0));
+        assert!(w.is_full());
     }
 
     #[test]
@@ -189,11 +195,51 @@ mod tests {
     }
 
     #[test]
+    fn negative_nan_poisons_the_tail_too() {
+        let mut w = MovingWindow::new(4);
+        for v in [1.0, f64::from_bits(NEGATIVE_NAN), 2.0, f64::NEG_INFINITY] {
+            w.push(v);
+        }
+        assert_eq!(w.percentile(0.0), Some(f64::NEG_INFINITY));
+        assert!(w.percentile(100.0).unwrap().is_nan());
+        assert_matches_stats(&w);
+    }
+
+    #[test]
+    fn evicting_one_of_several_equal_duplicates() {
+        let mut w = MovingWindow::new(4);
+        for v in [5.0, 5.0, 1.0, 5.0] {
+            w.push(v);
+        }
+        w.push(3.0); // evicts the first 5.0 of three
+        assert_eq!(w.iter().collect::<Vec<_>>(), vec![5.0, 1.0, 5.0, 3.0]);
+        assert_eq!(w.sorted, vec![1.0, 3.0, 5.0, 5.0]);
+        w.push(5.0); // evicts another 5.0, inserts an equal one
+        assert_eq!(w.sorted, vec![1.0, 3.0, 5.0, 5.0]);
+        assert_matches_stats(&w);
+    }
+
+    #[test]
+    fn evicting_negative_zero_keeps_positive_zero() {
+        let mut w = MovingWindow::new(2);
+        w.push(-0.0);
+        w.push(0.0);
+        w.push(1.0); // evicts -0.0
+        let bits: Vec<u64> = w.sorted.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, vec![0.0f64.to_bits(), 1.0f64.to_bits()]);
+        assert_eq!(w.percentile(0.0).map(f64::to_bits), Some(0.0f64.to_bits()));
+        assert_matches_stats(&w);
+    }
+
+    #[test]
     fn clear_resets() {
         let mut w = MovingWindow::new(2);
         w.push(1.0);
         w.clear();
         assert!(w.is_empty());
+        assert_eq!(w.percentile(50.0), None);
+        w.push(2.0);
+        assert_eq!(w.percentile(50.0), Some(2.0));
     }
 
     #[test]

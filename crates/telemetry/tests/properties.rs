@@ -2,20 +2,46 @@
 
 use aapm_platform::pstate::PStateId;
 use aapm_platform::units::{Seconds, Watts};
-use aapm_telemetry::stats::{median, percentile, summarize};
+use aapm_telemetry::stats::{median, nan_last_cmp, percentile, summarize};
 use aapm_telemetry::trace::{RunTrace, TraceRecord};
 use aapm_telemetry::window::MovingWindow;
 use proptest::prelude::*;
 
 /// Any f64, including the non-finite values the stats helpers must survive
-/// (one third of draws are NaN or ±inf).
+/// (two fifths of draws are NaN of either sign or ±inf).
 fn any_sample() -> impl Strategy<Value = f64> {
-    (0usize..9, -50.0f64..50.0).prop_map(|(kind, v)| match kind {
+    (0usize..10, -50.0f64..50.0).prop_map(|(kind, v)| match kind {
         0 => f64::NAN,
+        3 => f64::from_bits(0xfff8_0000_0000_0000),
         1 => f64::INFINITY,
         2 => f64::NEG_INFINITY,
         _ => v,
     })
+}
+
+/// Window inputs that stress the sorted mirror: a handful of finite keys
+/// (so evictions hit duplicates), `±0.0`, `±inf`, and NaN of both signs.
+fn window_sample() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        6 => (-3i32..4).prop_map(|k| f64::from(k) * 0.25),
+        2 => -1.0e3f64..1.0e3,
+        1 => prop_oneof![Just(0.0), Just(-0.0)],
+        1 => prop_oneof![Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
+        1 => prop_oneof![Just(f64::NAN), Just(f64::from_bits(0xfff8_0000_0000_0000))],
+    ]
+}
+
+const WINDOW_RANKS: [f64; 10] = [0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 100.0, -1.0, 101.0, f64::NAN];
+
+fn assert_window_matches_stats(window: &MovingWindow) {
+    let held: Vec<f64> = window.iter().collect();
+    for p in WINDOW_RANKS {
+        assert_eq!(
+            window.percentile(p).map(f64::to_bits),
+            percentile(&held, p).map(f64::to_bits),
+            "p{p} over {held:?}"
+        );
+    }
 }
 
 fn trace_from(powers: &[f64]) -> RunTrace {
@@ -36,20 +62,26 @@ fn trace_from(powers: &[f64]) -> RunTrace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// A moving window's mean always lies between its min and max, and its
-    /// length never exceeds capacity.
+    /// The order-statistic window agrees bit for bit with sorting its
+    /// contents from scratch, after every push and after a clear, over
+    /// heavy duplicates, signed zeros, infinities and NaNs of both signs.
     #[test]
-    fn window_statistics_bounded(
-        capacity in 1usize..20,
-        values in prop::collection::vec(-100.0f64..100.0, 0..100),
+    fn window_percentile_matches_stats(
+        capacity in prop_oneof![Just(256usize), 1usize..300],
+        values in prop::collection::vec(window_sample(), 0..700),
+        clear_at in 0usize..700,
     ) {
         let mut window = MovingWindow::new(capacity);
-        for &v in &values {
+        assert_window_matches_stats(&window);
+        for (i, &v) in values.iter().enumerate() {
+            if i == clear_at {
+                window.clear();
+                prop_assert!(window.is_empty());
+                assert_window_matches_stats(&window);
+            }
             window.push(v);
             prop_assert!(window.len() <= capacity);
-            let (mean, min, max) =
-                (window.mean().unwrap(), window.min().unwrap(), window.max().unwrap());
-            prop_assert!(min <= mean + 1e-12 && mean <= max + 1e-12);
+            assert_window_matches_stats(&window);
         }
     }
 
@@ -154,7 +186,7 @@ proptest! {
     }
 
     /// The stats helpers are total over *any* floats: NaN and ±inf never
-    /// panic, and the exact-rank percentiles return the total-order
+    /// panic, and the exact-rank percentiles return the NaN-last
     /// extremes instead of manufacturing `inf * 0` NaNs.
     #[test]
     fn median_and_percentile_total_over_non_finite(
@@ -164,7 +196,7 @@ proptest! {
         prop_assert!(median(&values).is_some());
         prop_assert!(percentile(&values, p).is_some());
         let mut sorted = values.clone();
-        sorted.sort_by(f64::total_cmp);
+        sorted.sort_by(nan_last_cmp);
         let lo = percentile(&values, 0.0).unwrap();
         let hi = percentile(&values, 100.0).unwrap();
         prop_assert_eq!(lo.total_cmp(&sorted[0]), std::cmp::Ordering::Equal);

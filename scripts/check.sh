@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Full local gate: release build, the whole test suite, and clippy with
-# warnings promoted to errors. Run from anywhere inside the repository.
+# Full local gate: release build, the whole test suite (root package, then
+# every workspace member), and clippy with warnings promoted to errors.
+# Run from anywhere inside the repository.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
 cargo test -q --offline
+cargo test -q --offline --workspace
 cargo clippy --all-targets --offline -- -D warnings
 cargo bench --no-run --offline
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --offline
