@@ -90,7 +90,10 @@ fn build_controller() -> FleetPmController {
 }
 
 /// Everything observable about one node, as exact bits.
-fn node_state(fleet: &Fleet) -> Vec<(u64, u64, Vec<u64>, Option<u64>, usize)> {
+type NodeBits = (u64, u64, Vec<u64>, Option<u64>, usize);
+
+/// [`NodeBits`] of every node, in cohort then lane order.
+fn node_state(fleet: &Fleet) -> Vec<NodeBits> {
     use aapm_platform::events::HardwareEvent;
     let mut out = Vec::new();
     for cohort in 0..fleet.cohort_count() {

@@ -30,6 +30,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::slice::Iter;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,7 +42,6 @@ fn usage() {
         "usage: aapm-experiments <id>|all [--csv <dir>] [--jobs <n>] \
          [--trace-out <dir>] [--metrics-out <path>]"
     );
-    eprintln!("       aapm-experiments --bench-machine [--out <path>]");
     eprintln!(
         "       aapm-experiments --replay-corpus [--corpus-dir <dir>] [--jobs <n>] [--bless]"
     );
@@ -50,6 +50,18 @@ fn usage() {
     );
     eprintln!("       aapm-experiments --list");
     eprintln!("       aapm-experiments --list-governors");
+}
+
+/// Takes the value that follows `flag`, or reports that it is missing.
+fn flag_value<'a>(args: &mut Iter<'a, String>, flag: &str) -> Result<&'a str, ExitCode> {
+    match args.next() {
+        Some(value) => Ok(value),
+        None => {
+            eprintln!("`{flag}` needs a value");
+            usage();
+            Err(ExitCode::FAILURE)
+        }
+    }
 }
 
 /// Parses a `--jobs`-style positive integer, or reports why it can't.
@@ -73,24 +85,18 @@ fn replay_corpus_mode(args: &[String]) -> ExitCode {
     let mut dir = PathBuf::from("corpus");
     let mut jobs: Option<usize> = None;
     let mut bless = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--corpus-dir" if i + 1 < args.len() => {
-                dir = PathBuf::from(&args[i + 1]);
-                i += 2;
-            }
-            "--jobs" if i + 1 < args.len() => {
-                match parse_positive("--jobs", &args[i + 1]) {
-                    Ok(n) => jobs = Some(n),
-                    Err(code) => return code,
-                }
-                i += 2;
-            }
-            "--bless" => {
-                bless = true;
-                i += 1;
-            }
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--corpus-dir" => match flag_value(&mut args, flag) {
+                Ok(value) => dir = PathBuf::from(value),
+                Err(code) => return code,
+            },
+            "--jobs" => match flag_value(&mut args, flag).and_then(|v| parse_positive(flag, v)) {
+                Ok(n) => jobs = Some(n),
+                Err(code) => return code,
+            },
+            "--bless" => bless = true,
             other => {
                 eprintln!("unknown --replay-corpus argument `{other}`");
                 usage();
@@ -177,37 +183,28 @@ fn fuzz_mode(args: &[String]) -> ExitCode {
     let mut seed = 1u64;
     let mut jobs: Option<usize> = None;
     let mut shrink_findings = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cases" if i + 1 < args.len() => {
-                match parse_positive("--cases", &args[i + 1]) {
-                    Ok(n) => cases = n,
-                    Err(code) => return code,
-                }
-                i += 2;
-            }
-            "--seed" if i + 1 < args.len() => {
-                match args[i + 1].parse::<u64>() {
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--cases" => match flag_value(&mut args, flag).and_then(|v| parse_positive(flag, v)) {
+                Ok(n) => cases = n,
+                Err(code) => return code,
+            },
+            "--seed" => match flag_value(&mut args, flag) {
+                Ok(value) => match value.parse::<u64>() {
                     Ok(n) => seed = n,
                     Err(_) => {
-                        eprintln!("--seed wants an unsigned integer, got `{}`", args[i + 1]);
+                        eprintln!("--seed wants an unsigned integer, got `{value}`");
                         return ExitCode::FAILURE;
                     }
-                }
-                i += 2;
-            }
-            "--jobs" if i + 1 < args.len() => {
-                match parse_positive("--jobs", &args[i + 1]) {
-                    Ok(n) => jobs = Some(n),
-                    Err(code) => return code,
-                }
-                i += 2;
-            }
-            "--minimize" => {
-                shrink_findings = true;
-                i += 1;
-            }
+                },
+                Err(code) => return code,
+            },
+            "--jobs" => match flag_value(&mut args, flag).and_then(|v| parse_positive(flag, v)) {
+                Ok(n) => jobs = Some(n),
+                Err(code) => return code,
+            },
+            "--minimize" => shrink_findings = true,
             other => {
                 eprintln!("unknown --fuzz argument `{other}`");
                 usage();
@@ -285,40 +282,6 @@ fn fuzz_mode(args: &[String]) -> ExitCode {
     }
 }
 
-/// Runs the machine throughput benchmark and writes the report.
-fn bench_machine_mode(args: &[String]) -> ExitCode {
-    let mut out = Path::new("results").join("BENCH_machine.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" if i + 1 < args.len() => {
-                out = PathBuf::from(&args[i + 1]);
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown --bench-machine argument `{other}`");
-                usage();
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    eprintln!("benchmarking the simulator hot paths (micro benches + serial suite)…");
-    let report = match aapm_experiments::bench_machine::run() {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("bench-machine failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!("{}", report.headline());
-    if let Err(e) = report.write(&out) {
-        eprintln!("failed to write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("machine bench report written to {}", out.display());
-    ExitCode::SUCCESS
-}
-
 /// Writes `results/BENCH_suite.json` (hand-rolled JSON: flat numbers only).
 fn write_bench_report(
     path: &Path,
@@ -384,9 +347,6 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    if args[0] == "--bench-machine" {
-        return bench_machine_mode(&args[1..]);
-    }
     if args[0] == "--replay-corpus" {
         return replay_corpus_mode(&args[1..]);
     }
@@ -398,31 +358,25 @@ fn main() -> ExitCode {
     let mut jobs: Option<usize> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut metrics_out: Option<PathBuf> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--csv" if i + 1 < args.len() => {
-                csv_dir = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--trace-out" if i + 1 < args.len() => {
-                trace_out = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--metrics-out" if i + 1 < args.len() => {
-                metrics_out = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--jobs" if i + 1 < args.len() => {
-                match args[i + 1].parse::<usize>() {
-                    Ok(n) if n >= 1 => jobs = Some(n),
-                    _ => {
-                        eprintln!("--jobs wants a positive integer, got `{}`", args[i + 1]);
-                        return ExitCode::FAILURE;
-                    }
-                }
-                i += 2;
-            }
+    let mut flags = args[1..].iter();
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--csv" => match flag_value(&mut flags, flag) {
+                Ok(value) => csv_dir = Some(PathBuf::from(value)),
+                Err(code) => return code,
+            },
+            "--trace-out" => match flag_value(&mut flags, flag) {
+                Ok(value) => trace_out = Some(PathBuf::from(value)),
+                Err(code) => return code,
+            },
+            "--metrics-out" => match flag_value(&mut flags, flag) {
+                Ok(value) => metrics_out = Some(PathBuf::from(value)),
+                Err(code) => return code,
+            },
+            "--jobs" => match flag_value(&mut flags, flag).and_then(|v| parse_positive(flag, v)) {
+                Ok(n) => jobs = Some(n),
+                Err(code) => return code,
+            },
             other => {
                 eprintln!("unknown argument `{other}`");
                 usage();
@@ -432,9 +386,7 @@ fn main() -> ExitCode {
     }
     let observer = (trace_out.is_some() || metrics_out.is_some())
         .then(|| Arc::new(RunObserver::new(trace_out.clone())));
-    let jobs_count = jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
+    let jobs_count = jobs.unwrap_or_else(default_jobs);
     let pool = match &observer {
         Some(observer) => Pool::with_observer(jobs_count, Arc::clone(observer)),
         None => Pool::new(jobs_count),

@@ -4,7 +4,7 @@
 //! PM-adherence sweep, the headline-claims summary, and ablations. Each
 //! module exposes `run(&ExperimentContext, &Pool) -> Result<ExperimentOutput>`
 //! and fans its independent cells over the [`pool`] job pool; the
-//! `aapm-experiments` binary and the `figures` bench target drive them.
+//! `aapm-experiments` binary drives them.
 //!
 //! | id | paper content | module |
 //! |---|---|---|
@@ -33,7 +33,6 @@
 pub mod ablation_actuators;
 pub mod ablations;
 pub mod adaptive;
-pub mod bench_machine;
 pub mod context;
 pub mod efficiency;
 pub mod fault_matrix;
@@ -65,7 +64,6 @@ pub mod table;
 #[cfg(test)]
 mod test_support;
 
-pub use bench_machine::MachineBenchReport;
 pub use context::ExperimentContext;
 pub use observe::RunObserver;
 pub use output::ExperimentOutput;

@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
-# Full local gate: release build, the whole test suite (root package, then
-# every workspace member), and clippy with warnings promoted to errors.
-# Run from anywhere inside the repository.
+# Full local gate: release build, the whole test suite (every workspace
+# member is a default member), clippy with warnings promoted to errors, the
+# experiment gates, and the perfbench tests and smoke. Run from anywhere
+# inside the repository.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
 cargo test -q --offline
-cargo test -q --offline --workspace
 cargo clippy --all-targets --offline -- -D warnings
-cargo bench --no-run --offline
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --offline
 
 # Deprecation gate: the pre-builder run/run_with_faults/run_observed free
@@ -122,64 +121,39 @@ echo "serve gate: slo-save-vs-static-cap experiment byte-identical at --jobs 1/2
 cargo run --release --offline -p aapm-experiments -- --fuzz \
     --cases 512 --seed 20260807 > /dev/null
 
-# bench-gate: re-run the machine bench and compare against the committed
-# baseline. An attempt fails on a >20% throughput regression (or a >25%
-# slower serial suite) and prints the simulated-seconds-per-wall-second
-# headline. The committed baseline is conservative (minimum throughput /
-# maximum wall over repeated runs) and the gate allows up to three
-# attempts — shared-host scheduler noise can sink any single attempt, but
-# a real regression (e.g. losing the fast-forward path) fails all three.
-bench_gate_ok=0
-for attempt in 1 2 3; do
-    cargo run --release --offline -p aapm-experiments -- --bench-machine \
-        --out results/BENCH_machine.current.json
-    if python3 - <<'EOF'
-import json, pathlib, sys
+# perfbench tests: among them, one per output check showing it fires on
+# broken input.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-base = json.loads(pathlib.Path("results/BENCH_machine.json").read_text())
-cur = json.loads(pathlib.Path("results/BENCH_machine.current.json").read_text())
+# perfbench smoke: a short run of each BENCHMARK.json workload and a traced
+# fleet run. Output checks must pass, serve and fleet must run faster than
+# real time, and a fleet node step must cost < 10 000 ns (10 000 nodes at the
+# 100 ms node cadence step in < 100 ms of wall time). Regressions above these
+# floors are judged by a same-host `perfbench/ab.py ab <rev>` A/B run.
+smoke=target/perfbench-smoke.txt
+for run in serve-diurnal:0 batch-spec:0 fleet-mixed:0 fleet-mixed:1; do
+    { printf '%s ' "$run"; cargo run --release --offline --quiet --manifest-path \
+        perfbench/Cargo.toml -- --workload "${run%:*}" --seed 1 --seconds 3 \
+        --trace "${run#*:}" | tail -n 1; }
+done > "$smoke"
+python3 - "$smoke" <<'EOF'
+import json, sys
 
-failures = []
-for key in ("ticked_sim_per_wall", "batched_sim_per_wall",
-            "fastforward_sim_per_wall", "fleet_sim_per_wall",
-            "serve_sim_per_wall", "cache_maccesses_per_sec"):
-    floor = base[key] * 0.8
-    if cur[key] < floor:
-        failures.append(f"{key}: {cur[key]:.1f} < 80% of baseline {base[key]:.1f}")
-# The fleet-scale headline claim is absolute, not relative: 10,000 nodes
-# must simulate faster than real time.
-if cur["fleet_sim_per_wall"] <= 1.0:
-    failures.append(
-        f"fleet_sim_per_wall: {cur['fleet_sim_per_wall']:.2f} sim-s/wall-s "
-        f"is not faster than real time at 10k nodes")
-ceiling = base["suite_serial_wall_s"] * 1.25
-if cur["suite_serial_wall_s"] > ceiling:
-    failures.append(
-        f"suite_serial_wall_s: {cur['suite_serial_wall_s']:.3f}s > 125% of "
-        f"baseline {base['suite_serial_wall_s']:.3f}s")
-
-print(f"bench-gate: tick {cur['ticked_sim_per_wall']:.0f} sim-s/wall-s, "
-      f"batched {cur['batched_sim_per_wall']:.0f} sim-s/wall-s, "
-      f"fast-forward {cur['fastforward_sim_per_wall']:.0f} sim-s/wall-s, "
-      f"fleet(10k) {cur['fleet_sim_per_wall']:.0f} sim-s/wall-s, "
-      f"serve {cur['serve_sim_per_wall']:.0f} sim-s/wall-s, "
-      f"cache {cur['cache_maccesses_per_sec']:.1f} Maccess/s, "
-      f"serial suite {cur['suite_serial_wall_s']:.3f}s "
-      f"(baseline {base['suite_serial_wall_s']:.3f}s)")
-for failure in failures:
-    print(f"bench-gate: {failure}", file=sys.stderr)
-sys.exit(1 if failures else 0)
+runs = dict(line.split(" ", 1) for line in open(sys.argv[1]))
+fails = [] if len(runs) == 4 else [f"expected 4 runs, got {sorted(runs)}"]
+for run, line in runs.items():
+    result = json.loads(line)
+    value = {name: metric["value"] for name, metric in result["metrics"].items()}
+    print(f"perfbench smoke: {run}: {result['failed']}/{result['attempted']} passes failed")
+    if result["correct"] is not True or result["failed"] != 0:
+        fails.append(f"{run}: output checks failed")
+    if run in ("serve-diurnal:0", "fleet-mixed:0") and not value["sim_per_wall"] > 1.0:
+        fails.append(f"{run}: sim_per_wall {value['sim_per_wall']} is not above real time")
+    if run == "fleet-mixed:1" and not value["platform.fleet.des_node_tick_ns"] < 10_000:
+        fails.append(f"{run}: des_node_tick_ns {value['platform.fleet.des_node_tick_ns']} >= 10 000")
+for fail in fails:
+    print(f"perfbench smoke FAIL: {fail}", file=sys.stderr)
+sys.exit(1 if fails else 0)
 EOF
-    then
-        bench_gate_ok=1
-        break
-    fi
-    echo "bench-gate: attempt ${attempt}/3 missed the baseline; retrying" >&2
-done
-rm -f results/BENCH_machine.current.json
-if [ "${bench_gate_ok}" -ne 1 ]; then
-    echo "bench-gate FAIL: three consecutive attempts below baseline" >&2
-    exit 1
-fi
 
 echo "check.sh: all gates passed"
