@@ -579,6 +579,9 @@ pub struct FleetPmController {
     prev_energy_j: Vec<f64>,
     /// Per-node minimum guardband headroom observed this cluster window.
     min_headroom_w: Vec<Option<f64>>,
+    /// The one counter sample every node step overwrites in place, so a
+    /// node step allocates nothing.
+    sample: CounterSample,
     windows: u64,
     violation_windows: u64,
 }
@@ -636,6 +639,12 @@ impl FleetPmController {
             prev_time_s: vec![0.0; n],
             prev_energy_j: vec![0.0; n],
             min_headroom_w: vec![None; n],
+            sample: CounterSample {
+                start: Seconds::ZERO,
+                end: Seconds::ZERO,
+                cycles: 0.0,
+                counts: vec![(HardwareEvent::InstructionsDecoded, 0.0, true)],
+            },
             windows: 0,
             violation_windows: 0,
         })
@@ -700,18 +709,12 @@ impl FleetController for FleetPmController {
                     self.violation_windows += 1;
                 }
                 let delta = snapshot - self.prev[node];
-                let sample = CounterSample {
-                    start: Seconds::new(start_s),
-                    end: now,
-                    cycles: delta.get(HardwareEvent::Cycles),
-                    counts: vec![(
-                        HardwareEvent::InstructionsDecoded,
-                        delta.get(HardwareEvent::InstructionsDecoded),
-                        true,
-                    )],
-                };
+                self.sample.start = Seconds::new(start_s);
+                self.sample.end = now;
+                self.sample.cycles = delta.get(HardwareEvent::Cycles);
+                self.sample.counts[0].1 = delta.get(HardwareEvent::InstructionsDecoded);
                 let ctx = SampleContext {
-                    counters: &sample,
+                    counters: &self.sample,
                     power: None,
                     temperature: None,
                     current,

@@ -105,7 +105,7 @@ impl Governor for FeedbackPm {
             self.stale_streak += 1;
             match self.last_dpc {
                 Some(dpc) if self.stale_streak <= self.inner.config().hold_samples => {
-                    let candidate = self.stale_candidate(ctx, dpc);
+                    let candidate = self.candidate(ctx, dpc);
                     if candidate < ctx.current {
                         self.raise_streak = 0;
                         return candidate;
@@ -118,18 +118,8 @@ impl Governor for FeedbackPm {
                 }
             }
         };
-        let limit = self.inner.limit().watts();
-        // Same asymmetric control as PM, but on corrected estimates: find
-        // the highest state fitting under the limit.
-        let mut candidate = ctx.table.lowest();
-        for (id, _) in ctx.table.iter_descending() {
-            if let Some(estimate) = self.corrected_estimate(ctx, dpc, id) {
-                if estimate <= limit {
-                    candidate = id;
-                    break;
-                }
-            }
-        }
+        // Same asymmetric control as PM, but on corrected estimates.
+        let candidate = self.candidate(ctx, dpc);
         // Reuse the inner PM's streak bookkeeping by delegating the
         // raise/lower policy: lower immediately, raise only on a full
         // streak. The inner PM's own candidate computation is bypassed.
@@ -142,9 +132,9 @@ impl Governor for FeedbackPm {
 }
 
 impl FeedbackPm {
-    /// Highest state fitting under the limit for a held DPC (used only on
-    /// stale samples, where raising is forbidden anyway).
-    fn stale_candidate(&self, ctx: &SampleContext<'_>, dpc: f64) -> PStateId {
+    /// Highest state whose corrected estimate fits under the limit (the
+    /// lowest state if none fits).
+    fn candidate(&self, ctx: &SampleContext<'_>, dpc: f64) -> PStateId {
         let limit = self.inner.limit().watts();
         for (id, _) in ctx.table.iter_descending() {
             if let Some(estimate) = self.corrected_estimate(ctx, dpc, id) {

@@ -53,18 +53,6 @@ impl PhasePm {
     pub fn limit(&self) -> PowerLimit {
         self.inner.limit()
     }
-
-    /// Highest p-state whose guarded estimate fits under the limit.
-    fn candidate(&self, ctx: &SampleContext<'_>, dpc: f64) -> PStateId {
-        for (id, _) in ctx.table.iter_descending() {
-            if let Some(estimate) = self.inner.estimate_at(ctx, dpc, id) {
-                if estimate <= self.limit().watts() {
-                    return id;
-                }
-            }
-        }
-        ctx.table.lowest()
-    }
 }
 
 impl GovernorLayer for PhasePm {
@@ -87,7 +75,7 @@ impl GovernorLayer for PhasePm {
     fn layer_decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
         let dpc = ctx.counters.dpc().unwrap_or(0.0);
         let phase_changed = self.detector.observe(dpc);
-        let candidate = self.candidate(ctx, dpc);
+        let candidate = self.inner.scan(ctx, dpc).candidate;
         if candidate < ctx.current {
             self.raise_streak = 0;
             candidate

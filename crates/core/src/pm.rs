@@ -18,7 +18,7 @@
 //! Unix signals; here via [`GovernorCommand::SetPowerLimit`]).
 
 use aapm_platform::events::HardwareEvent;
-use aapm_platform::pstate::PStateId;
+use aapm_platform::pstate::{PState, PStateId};
 use aapm_platform::units::Watts;
 use aapm_models::dpc_projection::project_dpc;
 use aapm_models::power_model::PowerModel;
@@ -163,18 +163,38 @@ impl PerformanceMaximizer {
         Some(estimate + self.config.guardband)
     }
 
-    /// The highest p-state whose guarded estimate fits under the limit
-    /// (the lowest state if none fits).
-    fn best_pstate(&self, ctx: &SampleContext<'_>, dpc: f64) -> PStateId {
-        for (id, _) in ctx.table.iter_descending() {
-            if let Some(estimate) = self.estimate_at(ctx, dpc, id) {
-                if estimate <= self.limit.watts() {
-                    return id;
-                }
+    /// One descending scan of the table: the highest p-state whose
+    /// guarded estimate fits under the limit (the lowest state if none
+    /// fits), together with the guarded estimates at that state and at the
+    /// state above it. Each estimate is exactly [`Self::estimate_at`]'s;
+    /// the current frequency is looked up once per scan.
+    pub(crate) fn scan(&self, ctx: &SampleContext<'_>, dpc: f64) -> PStateScan {
+        let limit = self.limit.watts();
+        let from = ctx.table.get(ctx.current).ok().map(PState::frequency);
+        let mut above = None;
+        for (id, state) in ctx.table.iter_descending() {
+            let estimate = from.and_then(|from| {
+                let projected = project_dpc(dpc, from, state.frequency());
+                Some(self.model.estimate(id, projected).ok()? + self.config.guardband)
+            });
+            if id == ctx.table.lowest() || estimate.is_some_and(|e| e <= limit) {
+                return PStateScan { candidate: id, estimate, above };
             }
+            above = estimate;
         }
-        ctx.table.lowest()
+        unreachable!("a p-state table is never empty")
     }
+}
+
+/// What [`PerformanceMaximizer::scan`] found.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PStateScan {
+    /// The highest p-state whose guarded estimate fits under the limit.
+    pub(crate) candidate: PStateId,
+    /// Guarded estimate at `candidate`.
+    pub(crate) estimate: Option<Watts>,
+    /// Guarded estimate at the state above `candidate` (`None` at the top).
+    pub(crate) above: Option<Watts>,
 }
 
 impl Governor for PerformanceMaximizer {
@@ -223,7 +243,7 @@ impl Governor for PerformanceMaximizer {
             match self.last_dpc {
                 Some(dpc) if self.stale_streak <= self.config.hold_samples => {
                     // Only safety-driven lowering is allowed on held data.
-                    let candidate = self.best_pstate(ctx, dpc);
+                    let candidate = self.scan(ctx, dpc).candidate;
                     if candidate < ctx.current {
                         self.raise_streak = 0;
                         return candidate;
@@ -238,7 +258,8 @@ impl Governor for PerformanceMaximizer {
                 }
             }
         };
-        let candidate = self.best_pstate(ctx, dpc);
+        let scan = self.scan(ctx, dpc);
+        let candidate = scan.candidate;
         let chosen = if candidate < ctx.current {
             // A single over-limit sample lowers frequency immediately.
             self.raise_streak = 0;
@@ -256,12 +277,21 @@ impl Governor for PerformanceMaximizer {
             self.raise_streak = 0;
             ctx.current
         };
+        // The guarded estimates at the chosen state and the state above
+        // it: the scan's own when it chose the candidate, recomputed only
+        // while a raise is pending.
+        let (estimate, above) = if chosen == candidate {
+            (scan.estimate, scan.above)
+        } else {
+            let next = ctx.table.next_higher(chosen);
+            (self.estimate_at(ctx, dpc, chosen), next.and_then(|next| self.estimate_at(ctx, dpc, next)))
+        };
         // Guardband headroom: slack between the limit and the guarded
         // estimate at the state actually chosen — the per-window signal a
         // cluster governor reclaims and reallocates. Tracked whether or
         // not metrics are installed; hold and fail-safe windows return
         // earlier above and keep the previous window's value.
-        if let Some(estimate) = self.estimate_at(ctx, dpc, chosen) {
+        if let Some(estimate) = estimate {
             let headroom = self.limit.watts().watts() - estimate.watts();
             self.last_headroom = Some(Watts::new(headroom));
             if self.metrics.is_enabled() {
@@ -272,8 +302,7 @@ impl Governor for PerformanceMaximizer {
         // Power deficit: when the limit throttles the node below the top
         // p-state, the extra watts the next state up would need. A cluster
         // governor reads this as negative headroom — unmet demand.
-        self.last_deficit = ctx.table.next_higher(chosen).and_then(|next| {
-            let estimate = self.estimate_at(ctx, dpc, next)?;
+        self.last_deficit = above.and_then(|estimate| {
             let deficit = estimate.watts() - self.limit.watts().watts();
             (deficit > 0.0).then(|| Watts::new(deficit))
         });
@@ -324,6 +353,7 @@ mod tests {
     use aapm_platform::pstate::PStateTable;
     use aapm_platform::units::Seconds;
     use aapm_telemetry::pmc::CounterSample;
+    use proptest::prelude::*;
 
     fn sample(dpc: f64) -> CounterSample {
         let cycles = 20e6;
@@ -395,6 +425,17 @@ mod tests {
             assert_eq!(chosen, PStateId::new(2), "post-reset sample {i}");
         }
         assert!(decide_at(&mut pm, &table, 2, 0.2) > PStateId::new(2));
+    }
+
+    #[test]
+    fn an_estimate_exactly_at_the_limit_fits() {
+        let table = PStateTable::pentium_m_755();
+        let s = sample(1.0);
+        let ctx = SampleContext { counters: &s, power: None, temperature: None, current: PStateId::new(7), table: &table, queue: None };
+        let at_p5 = pm_with_limit(30.0).estimate_at(&ctx, 1.0, PStateId::new(5)).unwrap();
+        let mut pm = pm_with_limit(at_p5.watts());
+        assert_eq!(pm.decide(&ctx), PStateId::new(5));
+        assert_eq!(pm.last_headroom().unwrap().watts(), 0.0);
     }
 
     #[test]
@@ -578,6 +619,150 @@ mod tests {
         let table = PStateTable::pentium_m_755();
         let mut pm = pm_with_limit(30.0);
         assert_eq!(decide_stale(&mut pm, &table, 7), PStateId::new(6));
+    }
+
+    /// The two-pass decide the one-scan decide replaced: `best_pstate`
+    /// re-runs the full [`PerformanceMaximizer::estimate_at`] for every
+    /// state, and headroom and deficit re-estimate the chosen state and the
+    /// state above it. Kept only to pin the one-scan decide to it.
+    struct ReferencePm {
+        model: PowerModel,
+        limit: PowerLimit,
+        config: PmConfig,
+        raise_streak: usize,
+        last_dpc: Option<f64>,
+        stale_streak: usize,
+        last_headroom: Option<Watts>,
+        last_deficit: Option<Watts>,
+    }
+
+    impl ReferencePm {
+        fn new(limit: PowerLimit, config: PmConfig) -> Self {
+            ReferencePm {
+                model: PowerModel::paper_table_ii(),
+                limit,
+                config,
+                raise_streak: 0,
+                last_dpc: None,
+                stale_streak: 0,
+                last_headroom: None,
+                last_deficit: None,
+            }
+        }
+
+        fn estimate_at(&self, ctx: &SampleContext<'_>, dpc: f64, target: PStateId) -> Option<Watts> {
+            let from = ctx.table.get(ctx.current).ok()?.frequency();
+            let to = ctx.table.get(target).ok()?.frequency();
+            let projected = project_dpc(dpc, from, to);
+            let estimate = self.model.estimate(target, projected).ok()?;
+            Some(estimate + self.config.guardband)
+        }
+
+        fn best_pstate(&self, ctx: &SampleContext<'_>, dpc: f64) -> PStateId {
+            for (id, _) in ctx.table.iter_descending() {
+                if let Some(estimate) = self.estimate_at(ctx, dpc, id) {
+                    if estimate <= self.limit.watts() {
+                        return id;
+                    }
+                }
+            }
+            ctx.table.lowest()
+        }
+
+        fn decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
+            let dpc = if ctx.counters.is_fresh() {
+                self.stale_streak = 0;
+                let dpc = ctx.counters.dpc().unwrap_or(0.0);
+                self.last_dpc = Some(dpc);
+                dpc
+            } else {
+                self.stale_streak += 1;
+                match self.last_dpc {
+                    Some(dpc) if self.stale_streak <= self.config.hold_samples => {
+                        let candidate = self.best_pstate(ctx, dpc);
+                        if candidate < ctx.current {
+                            self.raise_streak = 0;
+                            return candidate;
+                        }
+                        return ctx.current;
+                    }
+                    _ => {
+                        self.raise_streak = 0;
+                        return ctx.table.next_lower(ctx.current).unwrap_or(ctx.table.lowest());
+                    }
+                }
+            };
+            let candidate = self.best_pstate(ctx, dpc);
+            let chosen = if candidate < ctx.current {
+                self.raise_streak = 0;
+                candidate
+            } else if candidate > ctx.current {
+                self.raise_streak += 1;
+                if self.raise_streak >= self.config.raise_samples {
+                    self.raise_streak = 0;
+                    candidate
+                } else {
+                    ctx.current
+                }
+            } else {
+                self.raise_streak = 0;
+                ctx.current
+            };
+            if let Some(estimate) = self.estimate_at(ctx, dpc, chosen) {
+                self.last_headroom =
+                    Some(Watts::new(self.limit.watts().watts() - estimate.watts()));
+            }
+            self.last_deficit = ctx.table.next_higher(chosen).and_then(|next| {
+                let estimate = self.estimate_at(ctx, dpc, next)?;
+                let deficit = estimate.watts() - self.limit.watts().watts();
+                (deficit > 0.0).then(|| Watts::new(deficit))
+            });
+            chosen
+        }
+    }
+
+    fn bits(watts: Option<Watts>) -> Option<u64> {
+        watts.map(|w| w.watts().to_bits())
+    }
+
+    proptest! {
+        /// The one-scan decide makes the reference's decision in every
+        /// window — fresh, held, fail-safe, and after any limit change —
+        /// and leaves bit-identical headroom and deficit behind.
+        #[test]
+        fn one_scan_decide_matches_the_two_pass_reference(
+            tunables in (0.0f64..2.0, 1usize..12, 0usize..6, 2.0f64..30.0),
+            // (kind, dpc, current, limit): kinds 0..6 are fresh samples,
+            // 6..8 stale ones, 8 a `SetPowerLimit`; currents 0..8 are
+            // explicit states, 8 lies outside the table, and 9.. follow
+            // the previous decision so raise streaks build up.
+            steps in prop::collection::vec((0u8..9, 0.0f64..6.0, 0usize..16, 2.0f64..30.0), 1..120),
+        ) {
+            let (guardband, raise_samples, hold_samples, limit) = tunables;
+            let table = PStateTable::pentium_m_755();
+            let config = PmConfig { guardband: Watts::new(guardband), raise_samples, hold_samples };
+            let limit = PowerLimit::new(limit).unwrap();
+            let mut pm = PerformanceMaximizer::with_config(PowerModel::paper_table_ii(), limit, config);
+            let mut reference = ReferencePm::new(limit, config);
+            let mut previous = table.highest();
+            for (kind, dpc, current, watts) in steps {
+                if kind == 8 {
+                    let limit = PowerLimit::new(watts).unwrap();
+                    pm.command(GovernorCommand::SetPowerLimit(limit));
+                    reference.limit = limit;
+                    reference.raise_streak = 0;
+                    continue;
+                }
+                let current = if current <= 8 { PStateId::new(current) } else { previous };
+                let s = if kind < 6 { sample(dpc) } else { stale_sample(dpc) };
+                let ctx = SampleContext { counters: &s, power: None, temperature: None, current, table: &table, queue: None };
+                let chosen = pm.decide(&ctx);
+                prop_assert_eq!(chosen, reference.decide(&ctx));
+                prop_assert_eq!(bits(pm.last_headroom()), bits(reference.last_headroom));
+                prop_assert_eq!(bits(pm.last_deficit()), bits(reference.last_deficit));
+                previous = chosen;
+            }
+        }
     }
 
     #[test]

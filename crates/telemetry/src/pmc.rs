@@ -204,19 +204,16 @@ impl PmcDriver {
             self.last_snapshot.get(HardwareEvent::Cycles),
         );
 
-        // Which requested events occupy the two slots this interval?
-        let scheduled: Vec<HardwareEvent> = if self.is_multiplexing() {
-            (0..PROGRAMMABLE_COUNTERS)
-                .map(|k| self.requested[(self.rotation_offset + k) % self.requested.len()])
-                .collect()
-        } else {
-            self.requested.clone()
-        };
-
-        let mut counts = Vec::with_capacity(self.requested.len());
-        let requested = self.requested.clone();
-        for event in requested {
-            if scheduled.contains(&event) {
+        // Which requested events occupy the two slots this interval? The
+        // events are distinct, so under multiplexing index `i` is scheduled
+        // exactly when it lies within PROGRAMMABLE_COUNTERS slots of the
+        // rotation offset.
+        let len = self.requested.len();
+        let multiplexing = self.is_multiplexing();
+        let mut counts = Vec::with_capacity(len);
+        for i in 0..len {
+            let event = self.requested[i];
+            if !multiplexing || (i + len - self.rotation_offset) % len < PROGRAMMABLE_COUNTERS {
                 let count = wrapped_delta(snapshot.get(event), self.last_snapshot.get(event));
                 let rate = if cycles > 0.0 { count / cycles } else { 0.0 };
                 self.record_rate(event, rate);

@@ -177,6 +177,7 @@ impl RequestWorkloadBuilder {
         let r = 1.0 / self.tail_cap;
         let mean_over_xmin = a / (a - 1.0) * (1.0 - r.powf(a - 1.0)) / (1.0 - r.powf(a));
         let xmin = (self.mean_instructions / mean_over_xmin).max(1.0);
+        let xmax = xmin * self.tail_cap;
         Ok(RequestWorkload {
             name: self.name.clone(),
             seed: self.seed,
@@ -186,8 +187,9 @@ impl RequestWorkloadBuilder {
             bursts: self.bursts.clone(),
             envelope_rps: self.peak_rps * amplification,
             xmin,
-            xmax: xmin * self.tail_cap,
-            alpha: a,
+            xmax,
+            tail_ratio: (xmin / xmax).powf(a),
+            inv_alpha: 1.0 / a,
             service,
             rng: NoiseSource::seeded(self.seed ^ 0x005E_27EA_FF1C),
             cursor: Seconds::ZERO,
@@ -241,7 +243,10 @@ pub struct RequestWorkload {
     envelope_rps: f64,
     xmin: f64,
     xmax: f64,
-    alpha: f64,
+    /// `(xmin / xmax)^alpha`, the bounded-Pareto CDF's tail mass term.
+    tail_ratio: f64,
+    /// `1 / alpha`, the inverse CDF's exponent.
+    inv_alpha: f64,
     service: PhaseDescriptor,
     rng: NoiseSource,
     /// Last candidate arrival time drawn (the thinning clock).
@@ -319,8 +324,7 @@ impl RequestWorkload {
     /// Bounded-Pareto demand by inverse-CDF.
     fn draw_demand(&mut self) -> f64 {
         let u = self.rng.uniform(0.0, 1.0);
-        let ratio = (self.xmin / self.xmax).powf(self.alpha);
-        let x = self.xmin / (1.0 - u * (1.0 - ratio)).powf(1.0 / self.alpha);
+        let x = self.xmin / (1.0 - u * (1.0 - self.tail_ratio)).powf(self.inv_alpha);
         x.clamp(self.xmin, self.xmax)
     }
 }
@@ -378,6 +382,53 @@ mod tests {
         }
         assert_eq!(all, stitched, "window boundaries must not perturb the stream");
         assert!(!all.is_empty());
+    }
+
+    /// The exact bits of the first 64 `(arrival, instructions)` pairs of a
+    /// fixed-seed stream: any change to the thinning or the demand draw,
+    /// down to the last ulp, fails here.
+    #[test]
+    fn first_arrivals_are_pinned_to_the_bit() {
+        const GOLDEN: [(u64, u64); 64] = [
+            (0x3f8114c87b483985, 0x4150f5ad1a00c86b), (0x3fae32ba84eae412, 0x4146780291dfeb54),
+            (0x3fb34debda705bc1, 0x41332ba1e6e0dc3a), (0x3fb9a9da0beaeb0a, 0x4136dac7c3c19319),
+            (0x3fba84342b990475, 0x41283bab61e85f33), (0x3fbb480caa0535e0, 0x412a87b2da33ee35),
+            (0x3fc6f6bdf220dbdf, 0x4130553e221b9f4e), (0x3fc790e2d471b62a, 0x413278d8cc8ce74d),
+            (0x3fcf4eb44d796507, 0x412a4816e4bb8996), (0x3fd2e3ee93bfa26c, 0x41377d8f81c66f3e),
+            (0x3fd425e635e403cc, 0x4134ae9667b9ccce), (0x3fd49adf3ff1cd99, 0x413345bf4cb2a937),
+            (0x3fd6cfd65e2f213b, 0x413ad03cc4fd9d59), (0x3fda3f3affca1265, 0x413672f080f1e954),
+            (0x3fdde1aec1cc5401, 0x412daefaae8f5750), (0x3fddf49b0589c100, 0x413d907f006d34c6),
+            (0x3fde01223c2f4c9e, 0x412f79b9d0349ef7), (0x3fe0a20ed935f455, 0x413183134926b880),
+            (0x3fe0ac175e2ea875, 0x412c4a2f50afc050), (0x3fe1592f01583196, 0x412b553ca0e891c2),
+            (0x3fe465b268cbc6c1, 0x4128606cbdbd6a5f), (0x3fe4daf27fb2a4a7, 0x4139bcb15b0c8bca),
+            (0x3fe4f9947c0ad633, 0x4143a6e7f2dbafed), (0x3fe707764c02afa3, 0x412ec7223792bc93),
+            (0x3fe7bf1d89507b32, 0x4141830de9f80adf), (0x3fe82457d519b486, 0x412a1040d1cbe646),
+            (0x3fe8640f28c5a25f, 0x414336acda66185e), (0x3fe99443b9411f6a, 0x413a549af6f5db64),
+            (0x3fe9da10c3c8b132, 0x4143893efbfdce5c), (0x3fea58cb34b4ba5c, 0x4128279b20e05175),
+            (0x3feca989268613ea, 0x41444cd6d2de9e71), (0x3ff0401df6fc04fa, 0x413d47fea5508ccd),
+            (0x3ff05ec00c0f9cae, 0x4130d637d3a3ba10), (0x3ff064c0347de4a4, 0x413216f732394bf3),
+            (0x3ff088c2c88ca55d, 0x4140b7146ad98764), (0x3ff09524f59d5e75, 0x4128e070ecf04aa9),
+            (0x3ff0af2b5df855ad, 0x412a27760d1f91e6), (0x3ff0bf4e4a9af69f, 0x412d488845cdad2b),
+            (0x3ff0fa6d8feb5f4d, 0x412cfb45cc8fe70c), (0x3ff129b11fd5049f, 0x4141d474bfe75669),
+            (0x3ff1d7b1f5df6904, 0x412916f3f35fd08c), (0x3ff2047393dc52ea, 0x415efbac2b08c1db),
+            (0x3ff27c09015d5767, 0x412d84e03254a6fe), (0x3ff27c6f7425ae15, 0x414f269ac3da9340),
+            (0x3ff2bb2a24c112f5, 0x4157fa137c3a2dbb), (0x3ff3949b556f39b2, 0x41405a79030b2cd4),
+            (0x3ff3c1392e9454f7, 0x412c5d3ed1c853a6), (0x3ff3dd13ab394ceb, 0x41336466abe1b319),
+            (0x3ff3f10aaa2636c2, 0x4140f1bf41c5f0ba), (0x3ff41673ed8c2095, 0x4128150319a30a89),
+            (0x3ff4711128a94c2f, 0x4131b3906accc3d3), (0x3ff50d026059a776, 0x414cbe1bd6cfb4a4),
+            (0x3ff517f982be7581, 0x41306eb6555433e4), (0x3ff55c37e33ddf5f, 0x4129b8cb89ef0bf1),
+            (0x3ff5a59a849365a1, 0x414025136be8cc25), (0x3ff63024846b29c0, 0x413270ee53dfac39),
+            (0x3ff71f667b7daf49, 0x4162d7b3e14f7a24), (0x3ff7210acd5f6335, 0x4129542ebe07ad5d),
+            (0x3ff7cb1fa01e6fa6, 0x412a6fb0aff8f135), (0x3ff98f5925209a01, 0x4130ec8c7a670147),
+            (0x3ff9dcdad4f9609d, 0x412f734098c34242), (0x3ffa08241fda3e94, 0x412aba81e2d9dabb),
+            (0x3ffaa50968f11acf, 0x413239a5c52c6a73), (0x3ffb68507ec775ff, 0x412c18269721ea92),
+        ];
+        let out = drain(&mut workload(2026), 0.0, 10.0);
+        let bits: Vec<(u64, u64)> = out[..64]
+            .iter()
+            .map(|r| (r.arrival.seconds().to_bits(), r.instructions.to_bits()))
+            .collect();
+        assert_eq!(bits, GOLDEN);
     }
 
     #[test]

@@ -23,8 +23,23 @@ fi
 
 # Parallel-harness smoke: the full suite on a 2-wide pool must complete and
 # leave the wall-clock/speedup report behind.
-cargo run --release --offline -p aapm-experiments -- all --jobs 2 > /dev/null
+rm -rf target/suite-csv
+cargo run --release --offline -p aapm-experiments -- all --jobs 2 --csv target/suite-csv \
+    > /dev/null
 test -s results/BENCH_suite.json
+
+# CSV gate: the suite's CSVs must reproduce every committed results/*.csv
+# byte for byte (simulated outputs never change by accident).
+csvs=0
+for csv in $(git ls-files 'results/*.csv'); do
+    cmp "$csv" "target/suite-csv/${csv#results/}"
+    csvs=$((csvs + 1))
+done
+if [ "$csvs" -eq 0 ]; then
+    echo "csv gate FAIL: no committed results/*.csv to compare" >&2
+    exit 1
+fi
+echo "csv gate: ${csvs} committed CSVs byte-identical"
 
 # Observability smoke: a suite cell with tracing and metrics enabled must
 # emit parseable JSONL traces and a non-trivial aggregate snapshot.
