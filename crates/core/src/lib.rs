@@ -80,7 +80,6 @@ pub mod pm;
 pub mod ps;
 pub mod report;
 pub mod runtime;
-pub mod session;
 pub mod slo_save;
 pub mod spec;
 pub mod thermal_guard;
@@ -88,7 +87,7 @@ pub mod throttle_save;
 pub mod watchdog;
 
 pub use baselines::{DemandBasedSwitching, StaticClock, Unconstrained};
-pub use cluster::{BudgetTree, ClusterGovernor, ClusterSpec, FleetPmController, NodeSpec, RackSpec};
+pub use cluster::{BudgetTree, ClusterGovernor, FleetPmController, NodeSpec, RackSpec};
 pub use combined_pm::CombinedPm;
 pub use feedback::FeedbackPm;
 pub use governor::{BoxedGovernor, Governor, GovernorCommand, SampleContext};
@@ -99,7 +98,6 @@ pub use pm::{PerformanceMaximizer, PmConfig};
 pub use ps::PowerSave;
 pub use report::RunReport;
 pub use runtime::{ScheduledCommand, Session, SessionBuilder, SessionStatus, SimulationConfig};
-pub use session::{run_session, SessionReport};
 pub use slo_save::{SloSave, SloSaveConfig, SloWindow};
 pub use spec::{GovernorSpec, RegistryEntry, SpecModels, REGISTRY};
 pub use thermal_guard::{ThermalGuard, ThermalGuardConfig};

@@ -32,18 +32,14 @@ pub struct PhasePm {
 }
 
 impl PhasePm {
-    /// Creates phase-aware PM with the default detector and PM tunables.
+    /// Creates phase-aware PM with the DPC phase detector and the default
+    /// PM tunables.
     pub fn new(model: PowerModel, limit: PowerLimit) -> Self {
-        PhasePm::with_detector(model, limit, PhaseDetector::for_dpc())
-    }
-
-    /// Creates phase-aware PM with an explicit detector.
-    pub fn with_detector(model: PowerModel, limit: PowerLimit, detector: PhaseDetector) -> Self {
         let config = PmConfig::default();
         let raise_samples = config.raise_samples;
         PhasePm {
             inner: PerformanceMaximizer::with_config(model, limit, config),
-            detector,
+            detector: PhaseDetector::for_dpc(),
             raise_streak: 0,
             raise_samples,
         }

@@ -32,23 +32,21 @@
 
 use aapm::baselines::{StaticClock, Unconstrained};
 use aapm::cluster::{BudgetTree, ClusterGovernor, FleetPmController, NodeSpec, RackSpec};
-use aapm::governor::{Governor, GovernorCommand, SampleContext};
+use aapm::governor::{Governor, SampleContext};
+use aapm::layer::GovernorLayer;
 use aapm::limits::PowerLimit;
 use aapm::runtime::{Session, SimulationConfig};
 use aapm::slo_save::{SloSave, SloSaveConfig, SloWindow};
 use aapm_platform::config::MachineConfig;
 use aapm_platform::error::Result;
-use aapm_platform::events::HardwareEvent;
 use aapm_platform::fleet::{CohortId, CohortMode, Fleet, FleetController};
 use aapm_platform::phase::PhaseDescriptor;
 use aapm_platform::program::PhaseProgram;
 use aapm_platform::pstate::{PStateId, PStateTable};
 use aapm_platform::requests::Request;
-use aapm_platform::throttle::ThrottleLevel;
 use aapm_platform::units::Seconds;
 use aapm_platform::workload::WorkloadSource;
 use aapm_platform::Machine;
-use aapm_telemetry::metrics::Metrics;
 use aapm_workloads::requests::RequestWorkload;
 
 use crate::context::ExperimentContext;
@@ -120,30 +118,22 @@ impl SloMeter {
     }
 }
 
-impl Governor for SloMeter {
-    fn name(&self) -> &str {
+impl GovernorLayer for SloMeter {
+    fn layer_name(&self) -> &str {
         self.inner.name()
     }
 
-    fn events(&self) -> Vec<HardwareEvent> {
-        self.inner.events()
+    fn inner_governor(&self) -> &dyn Governor {
+        self.inner.as_ref()
     }
 
-    fn decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
+    fn inner_governor_mut(&mut self) -> &mut dyn Governor {
+        self.inner.as_mut()
+    }
+
+    fn layer_decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
         self.slo.record(ctx);
         self.inner.decide(ctx)
-    }
-
-    fn throttle_decision(&mut self, ctx: &SampleContext<'_>) -> ThrottleLevel {
-        self.inner.throttle_decision(ctx)
-    }
-
-    fn command(&mut self, command: GovernorCommand) {
-        self.inner.command(command);
-    }
-
-    fn install_metrics(&mut self, metrics: Metrics) {
-        self.inner.install_metrics(metrics);
     }
 }
 
@@ -378,14 +368,13 @@ fn fleet_racks() -> Vec<RackSpec> {
         .collect()
 }
 
-/// Feeds the serve cohort's arrival streams one cadence window ahead of
-/// its clock, then delegates every control decision to the wrapped
-/// [`FleetPmController`] — the request family rides the PR 9 cluster
-/// governor unchanged.
+/// Feeds the serve cohort's arrival streams one window of the cohort's own
+/// cadence ahead of its clock, then delegates every control decision to
+/// the wrapped [`FleetPmController`] — the request family rides the PR 9
+/// cluster governor unchanged.
 pub struct ServeFeeder {
     inner: FleetPmController,
     serve_cohort: CohortId,
-    cadence_ticks: u64,
     streams: Vec<RequestWorkload>,
     fed_ticks: u64,
     scratch: Vec<Request>,
@@ -398,7 +387,6 @@ impl ServeFeeder {
         ServeFeeder {
             inner,
             serve_cohort,
-            cadence_ticks: FLEET_CADENCE_TICKS,
             streams,
             fed_ticks: 0,
             scratch: Vec::new(),
@@ -441,7 +429,9 @@ impl ServeFeeder {
 impl FleetController for ServeFeeder {
     fn cohort_stepped(&mut self, fleet: &mut Fleet, cohort: CohortId, now_ticks: u64) -> Result<()> {
         if cohort == self.serve_cohort {
-            self.feed(fleet, now_ticks + self.cadence_ticks);
+            if let CohortMode::Governed { cadence_ticks } = fleet.mode(cohort) {
+                self.feed(fleet, now_ticks + cadence_ticks);
+            }
         }
         self.inner.cohort_stepped(fleet, cohort, now_ticks)
     }
@@ -647,6 +637,7 @@ pub fn run(ctx: &ExperimentContext, pool: &Pool) -> Result<ExperimentOutput> {
 mod tests {
     use super::*;
     use crate::test_support::{test_ctx, test_pool};
+    use aapm_models::power_model::PowerModel;
 
     /// The tentpole's pinned headline: the SLO governor beats worst-case
     /// static provisioning on energy per request without paying for it in
@@ -706,5 +697,70 @@ mod tests {
             hier.backlog,
             unif.backlog
         );
+    }
+
+    /// Checks after every serve-cohort step that the feeder has offered
+    /// exactly the requests arriving before the end of the next window,
+    /// using an untouched copy of the same streams as the reference.
+    struct WindowProbe {
+        feeder: ServeFeeder,
+        cadence_ticks: u64,
+        reference: Vec<RequestWorkload>,
+        expected: u64,
+        checked: u64,
+    }
+
+    impl FleetController for WindowProbe {
+        fn cohort_stepped(&mut self, fleet: &mut Fleet, cohort: CohortId, now_ticks: u64) -> Result<()> {
+            self.feeder.cohort_stepped(fleet, cohort, now_ticks)?;
+            let end = fleet.time_at(now_ticks + self.cadence_ticks);
+            let mut scratch = Vec::new();
+            for stream in &mut self.reference {
+                stream.arrivals_into(Seconds::ZERO, end, &mut scratch);
+            }
+            self.expected += scratch.len() as u64;
+            assert_eq!(
+                self.feeder.offered(),
+                self.expected,
+                "at tick {now_ticks}: every arrival before the next window's end must be offered"
+            );
+            self.checked += 1;
+            Ok(())
+        }
+
+        fn governor_tick(&mut self, fleet: &mut Fleet, now_ticks: u64) -> Result<()> {
+            self.feeder.governor_tick(fleet, now_ticks)
+        }
+    }
+
+    #[test]
+    fn feeder_leads_a_serve_cohort_by_its_own_cadence() {
+        const CADENCE: u64 = 20;
+        let base = fleet_workload().unwrap();
+        let streams: Vec<RequestWorkload> = (0..2).map(|lane| base.reseeded(70 + lane)).collect();
+        let mut fleet = Fleet::new(Seconds::from_millis(10.0));
+        let servers = streams
+            .iter()
+            .enumerate()
+            .map(|(lane, stream)| stream.machine(MachineConfig::pentium_m_755(lane as u64)))
+            .collect();
+        let cohort = fleet.add_cohort(servers, CohortMode::Governed { cadence_ticks: CADENCE }).unwrap();
+        let controller = FleetPmController::uniform(
+            PStateTable::pentium_m_755(),
+            &PowerModel::paper_table_ii(),
+            vec![12.0; 2],
+        )
+        .unwrap();
+        let mut probe = WindowProbe {
+            feeder: ServeFeeder::new(controller, cohort, streams.clone()),
+            cadence_ticks: CADENCE,
+            reference: streams,
+            expected: 0,
+            checked: 0,
+        };
+        probe.feeder.feed(&mut fleet, CADENCE);
+        fleet.run_des(10 * CADENCE, 100, &mut probe).unwrap();
+        assert_eq!(probe.checked, 10, "one check per serve-cohort step");
+        assert!(probe.expected > 0, "the streams must offer traffic");
     }
 }

@@ -16,7 +16,6 @@
 //! * [`online`] — recursive (forgetting-factor) refit of the power model
 //!   from the live counter stream, with a Mazzola-style multi-counter
 //!   basis (feeds the `adaptive` governor layer);
-//! * [`eval`] — per-sample accuracy scoring.
 //!
 //! # Examples
 //!
@@ -41,7 +40,6 @@
 //! ```
 
 pub mod dpc_projection;
-pub mod eval;
 pub mod fit;
 pub mod online;
 pub mod perf_model;

@@ -10,7 +10,6 @@
 //! * [`pmc`] — the counter driver: two programmable counters, event
 //!   multiplexing when oversubscribed;
 //! * [`sensor`] — the on-die thermal diode (quantized temperature);
-//! * [`gpio`] — run-boundary markers;
 //! * [`trace`] — power/p-state time series, moving-average violation
 //!   metrics, energy summation (the paper's energy metric);
 //! * [`window`] — moving windows with O(1) percentiles (the SLO
@@ -25,9 +24,7 @@
 //!   time (zero-overhead when no registry is installed).
 
 pub mod daq;
-pub mod derived;
 pub mod faults;
-pub mod gpio;
 pub mod metrics;
 pub mod pmc;
 pub mod sensor;
@@ -36,7 +33,6 @@ pub mod trace;
 pub mod window;
 
 pub use daq::{DaqConfig, PowerDaq, PowerSample};
-pub use derived::{derive, DerivedMetrics};
 pub use faults::{
     ActuationFault, FaultConfig, FaultKind, FaultPlan, FaultStats, FaultWindow, IntervalFaults,
     PowerFault,

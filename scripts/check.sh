@@ -12,12 +12,15 @@ cargo test -q --offline
 cargo clippy --all-targets --offline -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --offline
 
-# Deprecation gate: the pre-builder run/run_with_faults/run_observed free
-# functions are deleted. The symbols must stay gone everywhere — as
-# definitions or as call sites; every run goes through Session::builder.
-if grep -rnE '\b(run_with_faults|run_observed|runtime::run)\b' \
+# Deprecation gate: deleted surfaces must stay gone everywhere — as
+# definitions or as call sites. The pre-builder run/run_with_faults/
+# run_observed free functions and the second session driver (every run goes
+# through Session::builder), the cluster JSON codec (GovernorSpec is the one
+# spec codec), the standalone model scorer and derived-metrics module, and
+# the single-value CombinedPm/PhasePm constructor knobs.
+if grep -rnE '\b(run_with_faults|run_observed|runtime::run|run_session|SessionReport|SyncChannel|ClusterSpec|evaluate_power_model|DerivedMetrics|with_gated_floor|with_detector)\b' \
     --include='*.rs' src examples tests crates; then
-    echo "deprecation gate FAIL: deleted run_*/runtime::run symbols reappeared" >&2
+    echo "deprecation gate FAIL: deleted symbols reappeared" >&2
     exit 1
 fi
 

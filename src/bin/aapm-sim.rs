@@ -127,6 +127,12 @@ fn parse_args() -> Result<Option<Args>, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    if !(args.scale.is_finite() && args.scale > 0.0) {
+        return Err(format!("--scale must be finite and positive, got {}", args.scale));
+    }
+    if !args.cap.is_finite() {
+        return Err(format!("--cap must be finite, got {}", args.cap));
+    }
     Ok(Some(args))
 }
 
