@@ -33,7 +33,6 @@
 //! commands.
 
 use aapm_models::power_model::PowerModel;
-use aapm_platform::counters::CounterSnapshot;
 use aapm_platform::error::{PlatformError, Result};
 use aapm_platform::events::HardwareEvent;
 use aapm_platform::fleet::{CohortId, Fleet, FleetController};
@@ -410,7 +409,10 @@ pub struct FleetPmController {
     cluster: Option<ClusterGovernor>,
     caps_w: Vec<f64>,
     pms: Vec<PerformanceMaximizer>,
-    prev: Vec<CounterSnapshot>,
+    /// Per-node cycle and decoded-instruction totals at the last step:
+    /// the only two counters PM's window reads.
+    prev_cycles: Vec<f64>,
+    prev_decoded: Vec<f64>,
     prev_time_s: Vec<f64>,
     prev_energy_j: Vec<f64>,
     /// Per-node minimum guardband headroom observed this cluster window.
@@ -471,7 +473,8 @@ impl FleetPmController {
             cluster,
             caps_w,
             pms,
-            prev: vec![CounterSnapshot::zero(); n],
+            prev_cycles: vec![0.0; n],
+            prev_decoded: vec![0.0; n],
             prev_time_s: vec![0.0; n],
             prev_energy_j: vec![0.0; n],
             min_headroom_w: vec![None; n],
@@ -529,7 +532,8 @@ impl FleetController for FleetPmController {
         let now = fleet.time_at(now_ticks);
         for lane in 0..fleet.lanes(cohort) {
             let node = offset + lane;
-            let snapshot = fleet.counter_snapshot(cohort, lane);
+            let cycles = fleet.counter(cohort, lane, HardwareEvent::Cycles);
+            let decoded = fleet.counter(cohort, lane, HardwareEvent::InstructionsDecoded);
             let energy_j = fleet.energy(cohort, lane).joules();
             let machine = fleet.machine(cohort, lane);
             let finished = machine.finished();
@@ -544,11 +548,10 @@ impl FleetController for FleetPmController {
                 if (energy_j - self.prev_energy_j[node]) / dt > self.caps_w[node] {
                     self.violation_windows += 1;
                 }
-                let delta = snapshot - self.prev[node];
                 self.sample.start = Seconds::new(start_s);
                 self.sample.end = now;
-                self.sample.cycles = delta.get(HardwareEvent::Cycles);
-                self.sample.counts[0].1 = delta.get(HardwareEvent::InstructionsDecoded);
+                self.sample.cycles = cycles - self.prev_cycles[node];
+                self.sample.counts[0].1 = decoded - self.prev_decoded[node];
                 let ctx = SampleContext {
                     counters: &self.sample,
                     power: None,
@@ -571,7 +574,8 @@ impl FleetController for FleetPmController {
                     fleet.set_pstate(cohort, lane, chosen)?;
                 }
             }
-            self.prev[node] = snapshot;
+            self.prev_cycles[node] = cycles;
+            self.prev_decoded[node] = decoded;
             self.prev_time_s[node] = now.seconds();
             self.prev_energy_j[node] = energy_j;
         }

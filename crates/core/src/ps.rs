@@ -16,6 +16,7 @@
 
 use aapm_platform::events::HardwareEvent;
 use aapm_platform::pstate::PStateId;
+use aapm_platform::units::MegaHertz;
 use aapm_models::perf_model::PerfModel;
 use aapm_telemetry::metrics::{EventKind, Metrics};
 
@@ -113,24 +114,25 @@ impl PowerSave {
         &self.model
     }
 
-    /// Predicted throughput at `target` relative to the predicted peak
-    /// (highest p-state), from a sample observed at `ctx.current`.
-    pub fn predicted_relative_performance(
+    /// The target-independent half of PS's eq. 3 estimate: the observed
+    /// frequency, and the predicted throughput at the peak state relative
+    /// to it, which divides every state's projection. `None` when
+    /// `ctx.current` is not in the table or the peak projection is ≤ 0; a
+    /// NaN projection passes through and makes every ratio NaN, so no
+    /// state clears the floor.
+    fn peak_projection(
         &self,
         ctx: &SampleContext<'_>,
         ipc: f64,
         dcu: f64,
-        target: PStateId,
-    ) -> Option<f64> {
+    ) -> Option<(MegaHertz, f64)> {
         let from = ctx.table.get(ctx.current).ok()?.frequency();
-        let to = ctx.table.get(target).ok()?.frequency();
         let peak = ctx.table.get(ctx.table.highest()).ok()?.frequency();
-        let to_target = self.model.relative_performance(ipc, dcu, from, to);
         let to_peak = self.model.relative_performance(ipc, dcu, from, peak);
         if to_peak <= 0.0 {
             return None;
         }
-        Some(to_target / to_peak)
+        Some((from, to_peak))
     }
 }
 
@@ -184,12 +186,19 @@ impl Governor for PowerSave {
             self.metrics.observe("ps.projection_error_ipc", (ipc - predicted).abs());
         }
         // Scan from the lowest frequency up; take the first state whose
-        // predicted throughput clears the floor. The peak state always
-        // clears it (ratio 1.0), so the loop always returns.
+        // predicted throughput clears the floor. The peak projection does
+        // not depend on the state, so it is made once. When nothing clears
+        // (no projection, or a NaN one) PS stays at the peak, and the last
+        // ratio scanned, the peak's, is `chosen_relative`.
         let mut chosen = ctx.table.highest();
-        for (id, _) in ctx.table.iter() {
-            if let Some(relative) = self.predicted_relative_performance(ctx, ipc, dcu, id) {
-                if relative >= self.floor.fraction() {
+        let mut chosen_relative = None;
+        if let Some((from, to_peak)) = self.peak_projection(ctx, ipc, dcu) {
+            let floor = self.floor.fraction();
+            for (id, state) in ctx.table.iter() {
+                let relative =
+                    self.model.relative_performance(ipc, dcu, from, state.frequency()) / to_peak;
+                chosen_relative = Some(relative);
+                if relative >= floor {
                     chosen = id;
                     break;
                 }
@@ -199,7 +208,7 @@ impl Governor for PowerSave {
         if self.metrics.is_enabled() {
             // Floor slack: how far above the floor the discrete choice
             // lands (the Figure 9 "p-states are coarse" observation).
-            if let Some(relative) = self.predicted_relative_performance(ctx, ipc, dcu, chosen) {
+            if let Some(relative) = chosen_relative {
                 self.metrics.observe("ps.floor_slack", relative - self.floor.fraction());
             }
             // One-step-ahead IPC projection for the chosen state (eq. 3):
@@ -232,6 +241,7 @@ mod tests {
     use aapm_platform::pstate::PStateTable;
     use aapm_platform::units::Seconds;
     use aapm_telemetry::pmc::CounterSample;
+    use proptest::prelude::*;
 
     fn sample(ipc: f64, dcu: f64) -> CounterSample {
         let cycles = 20e6;
@@ -412,6 +422,185 @@ mod tests {
         assert_eq!(snapshot.counter("ps.stale_intervals"), n as u64 + 3);
         assert_eq!(snapshot.counter("ps.failsafe_steps"), 3);
         assert!(snapshot.histogram("ps.floor_slack").is_some());
+    }
+
+    /// The per-state decide the one-pass scan replaced: every state calls
+    /// `relative`, which re-reads the table and re-projects the peak. Kept
+    /// only to pin the one-pass decide to it.
+    struct ReferencePs {
+        model: PerfModel,
+        floor: PerformanceFloor,
+        config: PsConfig,
+        last_choice: Option<PStateId>,
+        stale_streak: usize,
+        predicted_ipc: Option<f64>,
+        metrics: Metrics,
+    }
+
+    impl ReferencePs {
+        fn new(floor: PerformanceFloor, config: PsConfig, metrics: Metrics) -> Self {
+            ReferencePs {
+                model: PerfModel::new(PerfModelParams::paper()),
+                floor,
+                config,
+                last_choice: None,
+                stale_streak: 0,
+                predicted_ipc: None,
+                metrics,
+            }
+        }
+
+        fn relative(
+            &self,
+            ctx: &SampleContext<'_>,
+            ipc: f64,
+            dcu: f64,
+            target: PStateId,
+        ) -> Option<f64> {
+            let from = ctx.table.get(ctx.current).ok()?.frequency();
+            let to = ctx.table.get(target).ok()?.frequency();
+            let peak = ctx.table.get(ctx.table.highest()).ok()?.frequency();
+            let to_target = self.model.relative_performance(ipc, dcu, from, to);
+            let to_peak = self.model.relative_performance(ipc, dcu, from, peak);
+            if to_peak <= 0.0 {
+                return None;
+            }
+            Some(to_target / to_peak)
+        }
+
+        fn decide(&mut self, ctx: &SampleContext<'_>) -> PStateId {
+            let now = ctx.counters.end;
+            if !ctx.counters.is_fresh() {
+                self.stale_streak += 1;
+                self.metrics.inc("ps.stale_intervals");
+                if self.stale_streak == 1 {
+                    self.metrics.inc("ps.hold_entries");
+                    self.metrics.event(now, EventKind::HoldEntered { governor: "ps" });
+                }
+                self.predicted_ipc = None;
+                return match self.last_choice {
+                    Some(choice) if self.stale_streak <= self.config.hold_samples => choice,
+                    _ => {
+                        self.metrics.inc("ps.failsafe_steps");
+                        self.metrics.event(now, EventKind::FailSafeStep { governor: "ps" });
+                        ctx.table.next_higher(ctx.current).unwrap_or_else(|| ctx.table.highest())
+                    }
+                };
+            }
+            if self.stale_streak > 0 {
+                self.metrics.inc("ps.hold_exits");
+                self.metrics.event(
+                    now,
+                    EventKind::HoldExited { governor: "ps", stale_intervals: self.stale_streak as u64 },
+                );
+                self.stale_streak = 0;
+            }
+            let ipc = ctx.counters.ipc().unwrap_or(0.0);
+            let dcu = ctx.counters.dcu().unwrap_or(0.0);
+            if let Some(predicted) = self.predicted_ipc.take() {
+                self.metrics.observe("ps.projection_error_ipc", (ipc - predicted).abs());
+            }
+            let mut chosen = ctx.table.highest();
+            for (id, _) in ctx.table.iter() {
+                if let Some(relative) = self.relative(ctx, ipc, dcu, id) {
+                    if relative >= self.floor.fraction() {
+                        chosen = id;
+                        break;
+                    }
+                }
+            }
+            self.last_choice = Some(chosen);
+            if self.metrics.is_enabled() {
+                if let Some(relative) = self.relative(ctx, ipc, dcu, chosen) {
+                    self.metrics.observe("ps.floor_slack", relative - self.floor.fraction());
+                }
+                if let (Ok(from), Ok(to)) = (ctx.table.get(ctx.current), ctx.table.get(chosen)) {
+                    let rel = self.model.relative_performance(ipc, dcu, from.frequency(), to.frequency());
+                    let ratio = from.frequency().mhz() as f64 / to.frequency().mhz() as f64;
+                    self.predicted_ipc = Some(ipc * rel * ratio);
+                }
+            }
+            chosen
+        }
+    }
+
+    /// The `(ipc, dcu)` pair a fresh step observes: `class` picks zero,
+    /// negative and NaN counts, the DCU/IPC = 1.21 class boundary, or two
+    /// plain draws.
+    fn observed(class: u8, x: f64, y: f64) -> (f64, f64) {
+        match class {
+            0 => (0.0, y),
+            1 => (-x, y),
+            2 => (x, -y),
+            3 => (f64::NAN, y),
+            4 => (x, f64::NAN),
+            5 => (x, PerfModelParams::paper().dcu_threshold * x),
+            _ => (x, y),
+        }
+    }
+
+    proptest! {
+        /// The one-pass decide makes the reference's decision in every
+        /// interval — fresh, held, fail-safe, from outside the table, and
+        /// after any floor change — and leaves bit-identical projections
+        /// and metrics behind, with metrics both off and on.
+        #[test]
+        fn one_pass_decide_matches_the_per_state_reference(
+            setup in (0.05f64..1.0, 0usize..6),
+            // (kind, class, x, y, current, floor): kinds 0..6 are fresh
+            // samples, 6..8 stale ones, 8 a `SetPerformanceFloor`, 9 a
+            // floor of exactly 1; currents 0..8 are explicit states, 8 and
+            // 9 lie outside the table, and 10.. follow the previous
+            // decision.
+            steps in prop::collection::vec(
+                (0u8..10, 0u8..10, 0.0f64..3.0, 0.0f64..4.0, 0usize..16, 0.05f64..1.0),
+                1..100,
+            ),
+        ) {
+            let (floor, hold_samples) = setup;
+            let table = PStateTable::pentium_m_755();
+            let config = PsConfig { hold_samples };
+            for enabled in [false, true] {
+                let floor = PerformanceFloor::new(floor).unwrap();
+                let model = PerfModel::new(PerfModelParams::paper());
+                let mut ps = PowerSave::with_config(model, floor, config);
+                let (ps_metrics, reference_metrics) = if enabled {
+                    (Metrics::enabled(), Metrics::enabled())
+                } else {
+                    (Metrics::disabled(), Metrics::disabled())
+                };
+                Governor::install_metrics(&mut ps, ps_metrics.clone());
+                let mut reference = ReferencePs::new(floor, config, reference_metrics.clone());
+                let mut previous = table.highest();
+                for &(kind, class, x, y, current, new_floor) in &steps {
+                    if kind >= 8 {
+                        let new_floor = if kind == 9 { 1.0 } else { new_floor };
+                        let new_floor = PerformanceFloor::new(new_floor).unwrap();
+                        ps.command(GovernorCommand::SetPerformanceFloor(new_floor));
+                        reference.floor = new_floor;
+                        continue;
+                    }
+                    let current = if current < 10 { PStateId::new(current) } else { previous };
+                    let (ipc, dcu) = observed(class, x, y);
+                    let s = if kind < 6 { sample(ipc, dcu) } else { stale_sample() };
+                    let ctx = SampleContext { counters: &s, power: None, temperature: None, current, table: &table, queue: None };
+                    let chosen = ps.decide(&ctx);
+                    prop_assert_eq!(chosen, reference.decide(&ctx));
+                    prop_assert_eq!(
+                        ps.predicted_ipc.map(f64::to_bits),
+                        reference.predicted_ipc.map(f64::to_bits)
+                    );
+                    previous = chosen;
+                }
+                // Debug output spells every float out (NaN included), so
+                // equal text means equal counters, histograms and event
+                // counts.
+                prop_assert_eq!(
+                    format!("{:?}", ps_metrics.snapshot()),
+                    format!("{:?}", reference_metrics.snapshot())
+                );
+            }
+        }
     }
 
     #[test]

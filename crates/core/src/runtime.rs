@@ -30,7 +30,7 @@ use aapm_telemetry::faults::{
     ActuationFault, FaultConfig, FaultPlan, FaultStats, FaultWindow, PowerFault,
 };
 use aapm_telemetry::metrics::{EventKind, Metrics};
-use aapm_telemetry::pmc::PmcDriver;
+use aapm_telemetry::pmc::{CounterSample, PmcDriver};
 use aapm_telemetry::sensor::{ThermalSensor, ThermalSensorConfig};
 use aapm_telemetry::trace::RunTrace;
 
@@ -364,6 +364,7 @@ impl<'a> SessionBuilder<'a> {
         }
         let daq = PowerDaq::new(config.daq, config.seed);
         let pmc = PmcDriver::new(governor.get().events());
+        let counters = CounterSample::with_capacity(pmc.events().len());
         let thermal = ThermalSensor::new(config.thermal_sensor, config.seed);
         let actuator = FaultyActuator::new(&config.faults);
         let trace = RunTrace::new(config.sample_interval);
@@ -381,6 +382,7 @@ impl<'a> SessionBuilder<'a> {
             machine,
             daq,
             pmc,
+            counters,
             thermal,
             actuator,
             trace,
@@ -464,6 +466,9 @@ pub struct Session<'a> {
     machine: Machine,
     daq: PowerDaq,
     pmc: PmcDriver,
+    /// The counter sample every interval overwrites in place, so a normal
+    /// PMC read allocates nothing.
+    counters: CounterSample,
     thermal: ThermalSensor,
     actuator: FaultyActuator,
     trace: RunTrace,
@@ -572,14 +577,14 @@ impl<'a> Session<'a> {
         // only what the governor is shown.
         let power = self.daq.sample(&self.machine);
         let temperature = self.thermal.read(&self.machine);
-        let counters = if faults.pmc_missed {
+        if faults.pmc_missed {
             self.stats.pmc_missed += 1;
             self.metrics.inc("fault.pmc_missed");
             self.metrics.event(now, EventKind::FaultInjected { kind: "pmc_missed" });
-            self.pmc.sample_missed(&self.machine, self.config.sample_interval)
+            self.counters = self.pmc.sample_missed(&self.machine, self.config.sample_interval);
         } else {
-            self.pmc.sample(&self.machine)
-        };
+            self.pmc.sample_into(&self.machine, &mut self.counters);
+        }
 
         let shown_power: Option<PowerSample> = match faults.power {
             PowerFault::Intact => {
@@ -624,7 +629,7 @@ impl<'a> Session<'a> {
         };
 
         let ctx = SampleContext {
-            counters: &counters,
+            counters: &self.counters,
             power: shown_power.as_ref(),
             temperature: shown_temperature,
             current: interval_pstate,
@@ -665,7 +670,7 @@ impl<'a> Session<'a> {
         }
         self.machine.set_throttle(throttle);
 
-        self.trace.push_sample(&power, interval_pstate, counters.ipc(), counters.dpc());
+        self.trace.push_sample(&power, interval_pstate, self.counters.ipc(), self.counters.dpc());
         self.samples += 1;
 
         Ok(if self.machine.finished() || self.samples >= self.config.max_samples {

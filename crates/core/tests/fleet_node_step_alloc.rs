@@ -4,8 +4,7 @@
 //! allocations. A counting global allocator tallies allocations per
 //! thread, so only this test's own steps are counted.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
 
 use aapm::cluster::{BudgetTree, ClusterGovernor, FleetPmController, NodeSpec, RackSpec};
 use aapm_models::power_model::PowerModel;
@@ -17,48 +16,7 @@ use aapm_platform::phase::PhaseDescriptor;
 use aapm_platform::program::PhaseProgram;
 use aapm_platform::pstate::PStateTable;
 use aapm_platform::units::Seconds;
-
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_allocation() {
-    // `try_with` so an allocation during thread teardown is not counted
-    // rather than aborting.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a const-initialised thread-local that never allocates.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
+use counting_alloc::allocations;
 
 fn machine(seed: u64, instructions: u64, mem_fraction: f64) -> Machine {
     let phase = PhaseDescriptor::builder("node")

@@ -113,8 +113,7 @@ fn run_arm(mut controller: FleetPmController) -> Result<ArmStats> {
     for cohort in 0..fleet.cohort_count() {
         for lane in 0..fleet.lanes(cohort) {
             energy_j += fleet.energy(cohort, lane).joules();
-            instructions +=
-                fleet.counter_snapshot(cohort, lane).get(HardwareEvent::InstructionsRetired);
+            instructions += fleet.counter(cohort, lane, HardwareEvent::InstructionsRetired);
         }
     }
     Ok(ArmStats {

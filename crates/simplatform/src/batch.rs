@@ -111,6 +111,11 @@ pub struct MachineBatch {
     // per-tick scratch for the eligibility sweep.
     fast: Vec<bool>,
     ok: Vec<bool>,
+    // Which lanes' programs have finished, and how many; `refresh_lane`
+    // keeps both current, since every path that can finish a lane ends
+    // there.
+    finished: Vec<bool>,
+    finished_lanes: usize,
     // Tick length the derived constants were computed for (NaN until the
     // first `tick_all`; a cadence change recomputes every lane).
     dt_s: f64,
@@ -138,10 +143,13 @@ impl MachineBatch {
             inc: vec![0.0; n * EVENTS],
             fast: vec![false; n],
             ok: vec![false; n],
+            finished: vec![false; n],
+            finished_lanes: 0,
             dt_s: f64::NAN,
         };
         for lane in 0..n {
             batch.load_lane(lane);
+            batch.track_finished(lane);
         }
         batch
     }
@@ -158,7 +166,7 @@ impl MachineBatch {
 
     /// Whether every lane's program has finished.
     pub fn all_finished(&self) -> bool {
-        self.machines.iter().all(Machine::finished)
+        self.finished_lanes == self.machines.len()
     }
 
     /// Read access to one lane's machine **without syncing**.
@@ -386,6 +394,7 @@ impl MachineBatch {
     /// them. Lanes this path cannot represent (mid-stall, zero-rate) are
     /// left `fast = false` and take the scalar fallback.
     fn refresh_lane(&mut self, lane: usize) {
+        self.track_finished(lane);
         self.fast[lane] = false;
         let dt_s = self.dt_s;
         if !dt_s.is_finite() {
@@ -499,6 +508,15 @@ impl MachineBatch {
         self.fast[lane] = true;
     }
 
+    /// Counts a lane once its machine has finished (a program never
+    /// un-finishes: its phase index only grows).
+    fn track_finished(&mut self, lane: usize) {
+        if !self.finished[lane] && self.machines[lane].finished() {
+            self.finished[lane] = true;
+            self.finished_lanes += 1;
+        }
+    }
+
     /// Convenience: a lane's counter snapshot without borrowing the whole
     /// machine (reads straight from the SoA arrays).
     pub fn counter_snapshot(&self, lane: usize) -> CounterSnapshot {
@@ -508,6 +526,12 @@ impl MachineBatch {
             *count = self.counts[event * n + lane];
         }
         CounterSnapshot::from_raw(counts)
+    }
+
+    /// One of a lane's cumulative counters, read straight from the SoA
+    /// arrays (no sync, and none of the other counters gathered).
+    pub fn counter(&self, lane: usize, event: HardwareEvent) -> f64 {
+        self.counts[event.index() * self.machines.len() + lane]
     }
 
     /// A lane's accumulated true energy, read straight from the SoA arrays
@@ -741,9 +765,23 @@ mod tests {
         batch.tick_all(Seconds::from_millis(10.0));
         for lane in 0..batch.len() {
             let soa = batch.counter_snapshot(lane);
+            for event in HardwareEvent::ALL {
+                assert_eq!(batch.counter(lane, event).to_bits(), soa.get(event).to_bits());
+            }
             let synced = batch.sync_lane(lane).counter_snapshot();
             assert_eq!(soa, synced);
         }
+    }
+
+    #[test]
+    fn lanes_finished_before_batching_count_as_finished() {
+        let mut done = lanes().remove(2);
+        while !done.finished() {
+            done.tick(Seconds::from_millis(10.0));
+        }
+        assert!(MachineBatch::new(vec![done.clone()]).all_finished());
+        assert!(!MachineBatch::new(vec![done, lanes().remove(0)]).all_finished());
+        assert!(MachineBatch::new(Vec::new()).all_finished(), "vacuously finished");
     }
 
     mod batch_bit_identity {
@@ -761,7 +799,7 @@ mod tests {
             #[test]
             fn batched_lanes_are_bit_identical_to_scalar_stepping(
                 seed in 0u64..256,
-                script in prop::collection::vec((1u32..20_000, 0u8..10, 1u8..9), 1..40),
+                script in prop::collection::vec((1u32..20_000, 0u8..10, 1u8..9, 0u8..8), 1..40),
             ) {
                 let make = |salt: u64| {
                     vec![
@@ -777,7 +815,7 @@ mod tests {
                 };
                 let mut scalars = make(0);
                 let mut batch = MachineBatch::new(make(0));
-                for (us, ps, level) in script {
+                for (us, ps, level, skip) in script {
                     if ps < 8 {
                         for (lane, scalar) in scalars.iter_mut().enumerate() {
                             scalar.set_pstate(PStateId::new(ps as usize)).unwrap();
@@ -790,10 +828,24 @@ mod tests {
                         batch.set_throttle(lane, level);
                     }
                     let dt = Seconds::from_micros(f64::from(us));
-                    for scalar in &mut scalars {
-                        scalar.tick(dt);
+                    if skip == 0 {
+                        // Fast-forward lane 0 through the guard, which can
+                        // finish a lane outside `tick_all`.
+                        let span = dt * 8.0;
+                        let advanced = scalars[0].fast_forward(span).unwrap().advanced;
+                        let batched = batch.lane_mut(0).fast_forward(span).unwrap().advanced;
+                        prop_assert_eq!(batched, advanced);
+                    } else {
+                        for scalar in &mut scalars {
+                            scalar.tick(dt);
+                        }
+                        batch.tick_all(dt);
                     }
-                    batch.tick_all(dt);
+                    prop_assert_eq!(batch.all_finished(), scalars.iter().all(Machine::finished));
+                    prop_assert_eq!(
+                        batch.all_finished(),
+                        (0..batch.len()).all(|lane| batch.lane(lane).finished())
+                    );
                     for (lane, scalar) in scalars.iter().enumerate() {
                         let machine = batch.sync_lane(lane);
                         prop_assert_eq!(machine.counter_snapshot(), scalar.counter_snapshot());

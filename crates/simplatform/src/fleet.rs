@@ -40,6 +40,7 @@ use std::collections::BinaryHeap;
 use crate::batch::MachineBatch;
 use crate::counters::CounterSnapshot;
 use crate::error::{PlatformError, Result};
+use crate::events::HardwareEvent;
 use crate::machine::Machine;
 use crate::pstate::PStateId;
 use crate::requests::{Request, RequestQueue};
@@ -241,6 +242,11 @@ impl Fleet {
     /// A lane's cumulative counters, read from the SoA arrays.
     pub fn counter_snapshot(&self, cohort: CohortId, lane: usize) -> CounterSnapshot {
         self.cohorts[cohort].batch.counter_snapshot(lane)
+    }
+
+    /// One of a lane's cumulative counters, read from the SoA arrays.
+    pub fn counter(&self, cohort: CohortId, lane: usize, event: HardwareEvent) -> f64 {
+        self.cohorts[cohort].batch.counter(lane, event)
     }
 
     /// A lane's accumulated true energy, read from the SoA arrays.

@@ -56,6 +56,17 @@ pub struct CounterSample {
 }
 
 impl CounterSample {
+    /// An empty sample with room for `events` counts, for
+    /// [`PmcDriver::sample_into`] to overwrite.
+    pub fn with_capacity(events: usize) -> Self {
+        CounterSample {
+            start: Seconds::ZERO,
+            end: Seconds::ZERO,
+            cycles: 0.0,
+            counts: Vec::with_capacity(events),
+        }
+    }
+
     /// Interval length.
     pub fn duration(&self) -> Seconds {
         self.end - self.start
@@ -192,6 +203,20 @@ impl PmcDriver {
     ///
     /// Panics if the machine's clock has not advanced since the last sample.
     pub fn sample(&mut self, machine: &Machine) -> CounterSample {
+        let mut sample = CounterSample::with_capacity(self.requested.len());
+        self.sample_into(machine, &mut sample);
+        sample
+    }
+
+    /// [`sample`](PmcDriver::sample) into an existing sample, overwriting
+    /// every field. `sample.counts` keeps its buffer, so a caller that
+    /// reads every interval into one sample allocates nothing once the
+    /// buffer holds the requested events.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine's clock has not advanced since the last sample.
+    pub fn sample_into(&mut self, machine: &Machine, sample: &mut CounterSample) {
         let now = machine.elapsed();
         let snapshot = machine.counter_snapshot();
         let dt = now - self.last_time;
@@ -210,29 +235,30 @@ impl PmcDriver {
         // rotation offset.
         let len = self.requested.len();
         let multiplexing = self.is_multiplexing();
-        let mut counts = Vec::with_capacity(len);
+        sample.counts.clear();
         for i in 0..len {
             let event = self.requested[i];
             if !multiplexing || (i + len - self.rotation_offset) % len < PROGRAMMABLE_COUNTERS {
                 let count = wrapped_delta(snapshot.get(event), self.last_snapshot.get(event));
                 let rate = if cycles > 0.0 { count / cycles } else { 0.0 };
                 self.record_rate(event, rate);
-                counts.push((event, count, true));
+                sample.counts.push((event, count, true));
             } else {
                 // Estimate from the last measured rate of this event.
                 let rate = self.rate_of(event).unwrap_or(0.0);
-                counts.push((event, rate * cycles, false));
+                sample.counts.push((event, rate * cycles, false));
             }
         }
 
-        if self.is_multiplexing() {
-            self.rotation_offset =
-                (self.rotation_offset + PROGRAMMABLE_COUNTERS) % self.requested.len();
+        if multiplexing {
+            self.rotation_offset = (self.rotation_offset + PROGRAMMABLE_COUNTERS) % len;
         }
         self.last_snapshot = snapshot;
         self.last_time = now;
         self.last_cycle_rate = cycles / dt.seconds();
-        CounterSample { start: now - dt, end: now, cycles, counts }
+        sample.start = now - dt;
+        sample.end = now;
+        sample.cycles = cycles;
     }
 
     /// Reconstructs a sample for an interval whose driver read was missed.
@@ -362,6 +388,29 @@ mod tests {
         }
         // On a steady phase the estimated rate converges to the exact one.
         assert!((s2.ipc().unwrap() - s1.ipc().unwrap()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sample_into_matches_sample_and_keeps_its_buffer() {
+        let events = vec![
+            HardwareEvent::InstructionsRetired,
+            HardwareEvent::InstructionsDecoded,
+            HardwareEvent::DcuMissOutstanding,
+        ];
+        let mut m = machine();
+        let mut fresh = PmcDriver::new(events.clone());
+        let mut reused = PmcDriver::new(events);
+        m.tick(Seconds::from_millis(10.0));
+        let mut into = reused.sample(&m);
+        assert_eq!(into, fresh.sample(&m));
+        let buffer = into.counts.as_ptr();
+        // Multiplexed rotations overwrite every count in place.
+        for _ in 0..5 {
+            m.tick(Seconds::from_millis(10.0));
+            reused.sample_into(&m, &mut into);
+            assert_eq!(into, fresh.sample(&m));
+            assert_eq!(into.counts.as_ptr(), buffer, "the counts buffer is reused");
+        }
     }
 
     #[test]

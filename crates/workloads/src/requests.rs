@@ -19,11 +19,12 @@
 //!   the textbook model for web-request service times.
 //!
 //! Arrivals are drawn by *thinning*: candidate gaps are exponential at the
-//! envelope rate `peak_rps × max(burst multipliers)` and accepted with
-//! probability `rate(t) / envelope`, which samples the nonhomogeneous
-//! Poisson process exactly. Everything flows from one
-//! [`NoiseSource`], so the stream is a pure function of the seed and the
-//! window sequence — byte-identical across runs and pool widths.
+//! envelope rate, `peak_rps` times the largest product of overlapping
+//! burst multipliers, and accepted with probability `rate(t) / envelope`,
+//! which samples the nonhomogeneous Poisson process exactly. Everything
+//! flows from one [`NoiseSource`], so the stream is a pure function of the
+//! seed and the window sequence — byte-identical across runs and pool
+//! widths.
 
 use aapm_platform::config::MachineConfig;
 use aapm_platform::error::{PlatformError, Result};
@@ -167,9 +168,21 @@ impl RequestWorkloadBuilder {
             None => default_service_phase()?,
         };
         // Envelope for thinning: the diurnal peak times the strongest
-        // burst amplification (multipliers < 1 cannot raise the rate).
-        let amplification =
-            self.bursts.iter().map(|b| b.multiplier.max(1.0)).fold(1.0f64, f64::max);
+        // burst amplification. `rate_at` multiplies overlapping bursts, and
+        // the set of bursts covering `t` is largest at some burst's start,
+        // so the bound is the largest product over the bursts covering a
+        // start (multipliers < 1 cannot raise the rate).
+        let amplification = self
+            .bursts
+            .iter()
+            .map(|at| {
+                self.bursts
+                    .iter()
+                    .filter(|b| b.start <= at.start && at.start < b.end)
+                    .map(|b| b.multiplier.max(1.0))
+                    .product::<f64>()
+            })
+            .fold(1.0f64, f64::max);
         // Bounded Pareto with mean `mean_instructions`: solve for xmin
         // from E[X] = xmin × α/(α−1) × (1 − r^(α−1)) / (1 − r^α) with
         // r = 1/cap.
@@ -469,6 +482,35 @@ mod tests {
         assert!((load.rate_at(inside) - 3.0 * plain.rate_at(inside)).abs() < 1e-9);
         let outside = Seconds::new(25.0);
         assert!((load.rate_at(outside) - plain.rate_at(outside)).abs() < 1e-9);
+    }
+
+    /// Overlapping bursts multiply in `rate_at`, so the thinning envelope
+    /// must cover their product: a 2× and a 3× burst over a flat 100 rps
+    /// draw 600 rps where they overlap, not the 300 rps a single-burst
+    /// envelope clamps to.
+    #[test]
+    fn overlapping_bursts_draw_their_product_rate() {
+        let mut b = RequestWorkload::builder("overlap");
+        b.seed(4)
+            .rates(100.0, 100.0)
+            .burst(Seconds::new(10.0), Seconds::new(30.0), 2.0)
+            .burst(Seconds::new(20.0), Seconds::new(40.0), 3.0);
+        let mut load = b.build().unwrap();
+        let expected = load.rate_at(Seconds::new(25.0));
+        assert_eq!(expected, 600.0);
+        let all = drain(&mut load, 0.0, 50.0);
+        let count = |from: f64, to: f64| {
+            all.iter().filter(|r| (from..to).contains(&r.arrival.seconds())).count() as f64
+        };
+        // 6 000 expected arrivals: a Poisson count's standard deviation is
+        // ~77, so 5 % is more than 3.8 sigma either way.
+        let overlap = count(20.0, 30.0) / 10.0;
+        assert!(
+            (overlap / expected - 1.0).abs() < 0.05,
+            "overlap drew {overlap} rps, rate_at says {expected}"
+        );
+        let single = count(30.0, 40.0) / 10.0;
+        assert!((single / 300.0 - 1.0).abs() < 0.07, "3x burst drew {single} rps");
     }
 
     #[test]

@@ -144,9 +144,9 @@ cargo run --release --offline -p aapm-experiments -- --fuzz \
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # perfbench smoke: a short run of each BENCHMARK.json workload and a traced
-# fleet run. Output checks must pass, serve and fleet must run faster than
-# real time, and a fleet node step must cost < 10 000 ns (10 000 nodes at the
-# 100 ms node cadence step in < 100 ms of wall time). Regressions above these
+# fleet run. Output checks must pass, serve, batch and fleet must run faster
+# than real time, and a fleet node step must cost < 10 000 ns (10 000 nodes
+# at the 100 ms node cadence step in < 100 ms of wall time). Regressions above these
 # floors are judged by a same-host `perfbench/ab.py ab <rev>` A/B run.
 smoke=target/perfbench-smoke.txt
 for run in serve-diurnal:0 batch-spec:0 fleet-mixed:0 fleet-mixed:1; do
@@ -165,7 +165,7 @@ for run, line in runs.items():
     print(f"perfbench smoke: {run}: {result['failed']}/{result['attempted']} passes failed")
     if result["correct"] is not True or result["failed"] != 0:
         fails.append(f"{run}: output checks failed")
-    if run in ("serve-diurnal:0", "fleet-mixed:0") and not value["sim_per_wall"] > 1.0:
+    if run in ("serve-diurnal:0", "batch-spec:0", "fleet-mixed:0") and not value["sim_per_wall"] > 1.0:
         fails.append(f"{run}: sim_per_wall {value['sim_per_wall']} is not above real time")
     if run == "fleet-mixed:1" and not value["platform.fleet.des_node_tick_ns"] < 10_000:
         fails.append(f"{run}: des_node_tick_ns {value['platform.fleet.des_node_tick_ns']} >= 10 000")
